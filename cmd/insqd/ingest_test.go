@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,9 +23,9 @@ import (
 	"repro/internal/workload"
 )
 
-// newIngestServer boots a plane+network engine behind internal/server
-// with the given coalesce window, plus a raw TCP ingest listener.
-func newIngestServer(t *testing.T, window time.Duration) (*httptest.Server, net.Listener, *insq.Engine) {
+// ingestConfig is the plane+network dataset every ingest test server
+// serves: 300 plane objects and 20 sites on an 8x8 street grid.
+func ingestConfig(t testing.TB) insq.EngineConfig {
 	t.Helper()
 	bounds := insq.NewRect(insq.Pt(0, 0), insq.Pt(1000, 1000))
 	g, err := workload.Network(8, bounds, 7)
@@ -35,13 +36,26 @@ func newIngestServer(t *testing.T, window time.Duration) (*httptest.Server, net.
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := insq.NewEngine(insq.EngineConfig{
+	return insq.EngineConfig{
 		Shards:       4,
 		Bounds:       bounds,
 		Objects:      insq.UniformPoints(300, bounds, 2),
 		Network:      g,
 		NetworkSites: sites,
-	})
+	}
+}
+
+// newIngestServer boots a plane+network engine behind internal/server
+// with the given coalesce window, plus a raw TCP ingest listener.
+func newIngestServer(t *testing.T, window time.Duration) (*httptest.Server, net.Listener, *insq.Engine) {
+	t.Helper()
+	return newIngestServerFor(t, ingestConfig(t), window)
+}
+
+// newIngestServerFor is newIngestServer over an explicit engine config.
+func newIngestServerFor(t *testing.T, cfg insq.EngineConfig, window time.Duration) (*httptest.Server, net.Listener, *insq.Engine) {
+	t.Helper()
+	e, err := insq.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,6 +497,49 @@ func TestIngestDifferential(t *testing.T) {
 		}
 	}
 
+	// Error-code parity: every mutation error class, sent once as a JSON
+	// object write and once as an ingest frame, must report the same code
+	// — both surfaces share one object-write entry and one error table.
+	// The bad mutations change no state, so the final check still holds.
+	cfg := ingestConfig(t)
+	site := cfg.NetworkSites[0]
+	free := 0
+	for slices.Contains(cfg.NetworkSites, free) {
+		free++
+	}
+	for _, c := range []struct {
+		m    index.Mutation
+		want api.ErrorCode
+	}{
+		{index.Mutation{ID: 99999}, api.CodeUnknownObject},
+		{index.Mutation{Insert: true, P: geom.Pt(-5, 2000)}, api.CodeOutOfBounds},
+		{index.Mutation{Network: true, Insert: true, ID: cfg.Network.NumVertices()}, api.CodeOutOfBounds},
+		{index.Mutation{Network: true, Insert: true, ID: site}, api.CodeSiteExists},
+		{index.Mutation{Network: true, ID: free}, api.CodeUnknownObject},
+	} {
+		expectCodeParity(t, jc, ing, c.m, c.want)
+	}
+	// The last site and plane writes need a network-only server holding
+	// one site; both surfaces go to that one server.
+	netCfg := insq.EngineConfig{Shards: 2, Network: cfg.Network, NetworkSites: []int{site}}
+	netTS, _, _ := newIngestServerFor(t, netCfg, time.Millisecond)
+	nc := insqclient.New(netTS.URL, insqclient.Options{Retries: -1})
+	ning, err := nc.DialIngest(context.Background(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ning.Close()
+	for _, c := range []struct {
+		m    index.Mutation
+		want api.ErrorCode
+	}{
+		{index.Mutation{Network: true, ID: site}, api.CodeLastSite},
+		{index.Mutation{Insert: true, P: geom.Pt(10, 10)}, api.CodeNoPlaneIndex},
+		{index.Mutation{ID: 0}, api.CodeNoPlaneIndex},
+	} {
+		expectCodeParity(t, nc, ning, c.m, c.want)
+	}
+
 	// Final state: object counts and a last full-result probe must agree.
 	jst, err := jc.Stats()
 	if err != nil {
@@ -502,6 +559,34 @@ func TestIngestDifferential(t *testing.T) {
 	}
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// expectCodeParity sends m as a JSON object write through c and as an
+// ingest frame through ing, and asserts both fail with code want.
+func expectCodeParity(t *testing.T, c *insqclient.Client, ing *insqclient.Ingest, m index.Mutation, want api.ErrorCode) {
+	t.Helper()
+	var err error
+	switch {
+	case m.Network && m.Insert:
+		_, err = c.AddNetworkObject(m.ID)
+	case m.Network:
+		err = c.RemoveNetworkObject(m.ID)
+	case m.Insert:
+		_, err = c.AddObject(m.P.X, m.P.Y)
+	default:
+		err = c.RemoveObject(m.ID)
+	}
+	var ae *insqclient.APIError
+	if !errors.As(err, &ae) {
+		t.Fatalf("json %+v: error %v, want an API error", m, err)
+	}
+	ack, err := ing.Call(api.IngestBatch{Mutations: []index.Mutation{m}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ae.Code != want || ack.Code != want {
+		t.Errorf("%+v: json code %s, ingest code %s, want %s", m, ae.Code, ack.Code, want)
 	}
 }
 

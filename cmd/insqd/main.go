@@ -89,7 +89,7 @@ func main() {
 		slowFsync   = flag.Duration("slow-fsync", 20*time.Millisecond, "slow-op log threshold for one WAL fsync (0 = off)")
 		slowPublish = flag.Duration("slow-publish", 20*time.Millisecond, "slow-op log threshold for one epoch publication (0 = off)")
 		statsTTL    = flag.Duration("stats-ttl", 500*time.Millisecond, "cache the merged /v1/stats snapshot this long so scrapers don't perturb shard workers (0 = no cache)")
-		reqTimeout  = flag.Duration("request-timeout", 5*time.Second, "per-request deadline for update/object mutations; expired batches are dropped at the shard (0 = no deadline)")
+		reqTimeout  = flag.Duration("request-timeout", 5*time.Second, "deadline for each location-update batch (JSON update request or ingest group); parts still queued when it passes are dropped at the shard, while object writes are applied or aborted whole (0 = no deadline)")
 		faultSpec   = flag.String("fault", "", "chaos testing: arm failpoints, e.g. 'wal.fsync.err=err,count:10;store.publish.delay=delay:5ms' (also via INSQ_FAULT; empty = all disarmed)")
 		ingestAddr  = flag.String("ingest-addr", "", "additionally serve the binary ingest protocol on this raw TCP address, bypassing HTTP (empty = HTTP /v1/ingest only)")
 		coalesce    = flag.Duration("coalesce-window", time.Millisecond, "merge ingest frames arriving within this window into one engine batch (0 = apply frames individually)")

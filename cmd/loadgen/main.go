@@ -45,6 +45,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -54,6 +55,7 @@ import (
 	insq "repro"
 	"repro/internal/api"
 	insqclient "repro/internal/client"
+	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -66,10 +68,9 @@ type target interface {
 	closeSession(sid uint64) error
 	update(entries []api.UpdateEntry) (*api.UpdateResponse, error)
 	networkUpdate(entries []api.NetworkUpdateEntry) (*api.UpdateResponse, error)
-	insertObject(x, y float64) (int, error)
-	removeObject(id int) error
-	insertNetworkObject(vertex int) (int, error)
-	removeNetworkObject(vertex int) error
+	// apply performs one object write and returns its id: the assigned id
+	// of a plane insert, the echoed id or vertex otherwise.
+	apply(m index.Mutation) (int, error)
 	// subscribe watches the sessions on the push stream, invoking onEvent
 	// for every delta until the returned stop function runs.
 	subscribe(sids []uint64, onEvent func(api.SessionEvent)) (stop func(), err error)
@@ -289,11 +290,9 @@ func main() {
 		churnWG.Add(1)
 		go func() {
 			defer churnWG.Done()
-			if *network {
-				churnCount = runNetworkChurn(tgt, *churn, roadNet, roadSites, *seed, stopChurn, &churnHist, tracker)
-			} else {
-				churnCount = runChurn(tgt, *churn, bounds, *seed, stopChurn, &churnHist, tracker)
-			}
+			// roadNet is nil unless -network: the picker then churns the plane.
+			pick := churnPicker(bounds, roadNet, roadSites, *seed)
+			churnCount = runChurn(tgt, *churn, pick, stopChurn, &churnHist, tracker)
 		}()
 	}
 
@@ -485,130 +484,84 @@ func parallelFor(workers, n int, fn func(i int) error) error {
 	return nil
 }
 
-// runChurn applies paced data updates until stop closes: inserts random
-// objects and removes them again once enough have accumulated, so the
-// object count stays near its initial value. Every mutation's round-trip
-// is recorded in hist (the object-mutation side of the per-endpoint
-// latency split); inserts are registered with the push tracker when one
-// is attached.
-func runChurn(tgt target, perSec float64, bounds insq.Rect, seed int64, stop <-chan struct{}, hist *metrics.Histogram, tracker *pushTracker) int {
+// churnPicker returns the insert picker for runChurn: uniform points in
+// bounds when g is nil, otherwise vertices of g that are neither initial
+// sites nor live churned ones.
+func churnPicker(bounds insq.Rect, g *insq.RoadNetwork, sites []int, seed int64) func(live []index.Mutation) index.Mutation {
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	if g == nil {
+		return func([]index.Mutation) index.Mutation {
+			x := bounds.Min.X + rng.Float64()*(bounds.Max.X-bounds.Min.X)
+			y := bounds.Min.Y + rng.Float64()*(bounds.Max.Y-bounds.Min.Y)
+			return index.Mutation{Insert: true, P: insq.Pt(x, y)}
+		}
+	}
+	initial := make(map[int]bool, len(sites))
+	for _, v := range sites {
+		initial[v] = true
+	}
+	return func(live []index.Mutation) index.Mutation {
+		for {
+			v := rng.Intn(g.NumVertices())
+			if !initial[v] && !slices.ContainsFunc(live, func(m index.Mutation) bool { return m.ID == v }) {
+				return index.Mutation{Network: true, Insert: true, ID: v}
+			}
+		}
+	}
+}
+
+// runChurn applies paced data updates until stop closes: it inserts the
+// objects pick chooses (given the churned objects still live) and removes
+// them again once enough have accumulated, so the object count stays near
+// its initial value. Every mutation's round-trip is recorded in hist (the
+// object-mutation side of the per-endpoint latency split); inserts are
+// registered with the push tracker when one is attached.
+func runChurn(tgt target, perSec float64, pick func(live []index.Mutation) index.Mutation, stop <-chan struct{}, hist *metrics.Histogram, tracker *pushTracker) int {
 	interval := time.Duration(float64(time.Second) / perSec)
 	if interval <= 0 { // perSec > 1e9 truncates to zero, which NewTicker rejects
 		interval = time.Nanosecond
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	var inserted []int
-	n := 0 // applied updates only; failures surface as log lines
-	remove := func(id int) {
+	var live []index.Mutation // the removal of each churned object, oldest first
+	n := 0                    // applied updates only; failures surface as log lines
+	apply := func(m index.Mutation) (int, bool) {
 		t0 := time.Now()
-		if err := tgt.removeObject(id); err != nil {
-			log.Printf("churn remove %d: %v", id, err)
-			return
+		id, err := tgt.apply(m)
+		if err != nil {
+			log.Printf("churn %+v: %v", m, err)
+			return 0, false
 		}
 		hist.Record(time.Since(t0))
 		if tracker != nil {
-			tracker.forget(id)
+			if m.Insert {
+				tracker.registerInsert(id, t0)
+			} else {
+				tracker.forget(id)
+			}
 		}
 		n++
+		return id, true
 	}
 	for {
 		select {
 		case <-stop:
 			// Drain pending inserts so repeated runs against one server
 			// keep the object count at its initial value.
-			for _, id := range inserted {
-				remove(id)
+			for _, m := range live {
+				apply(m)
 			}
 			return n
 		case <-tick.C:
 		}
-		if len(inserted) > 32 {
-			id := inserted[0]
-			inserted = inserted[1:]
-			remove(id)
-		} else {
-			x := bounds.Min.X + rng.Float64()*(bounds.Max.X-bounds.Min.X)
-			y := bounds.Min.Y + rng.Float64()*(bounds.Max.Y-bounds.Min.Y)
-			t0 := time.Now()
-			id, err := tgt.insertObject(x, y)
-			if err != nil {
-				log.Printf("churn insert: %v", err)
-			} else {
-				hist.Record(time.Since(t0))
-				if tracker != nil {
-					tracker.registerInsert(id, t0)
-				}
-				inserted = append(inserted, id)
-				n++
-			}
+		if len(live) > 32 {
+			apply(live[0])
+			live = live[1:]
+			continue
 		}
-	}
-}
-
-// runNetworkChurn is runChurn for the road-network side: it inserts data
-// objects at random free vertices (outside the initial site set) and
-// removes them again once enough have accumulated, keeping the site count
-// near its initial value.
-func runNetworkChurn(tgt target, perSec float64, g *insq.RoadNetwork, initial []int, seed int64, stop <-chan struct{}, hist *metrics.Histogram, tracker *pushTracker) int {
-	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-	interval := time.Duration(float64(time.Second) / perSec)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	taken := make(map[int]bool, len(initial))
-	for _, v := range initial {
-		taken[v] = true
-	}
-	var inserted []int
-	n := 0
-	remove := func(v int) {
-		t0 := time.Now()
-		if err := tgt.removeNetworkObject(v); err != nil {
-			log.Printf("churn remove site %d: %v", v, err)
-			return
-		}
-		hist.Record(time.Since(t0))
-		delete(taken, v)
-		if tracker != nil {
-			tracker.forget(v)
-		}
-		n++
-	}
-	for {
-		select {
-		case <-stop:
-			for _, v := range inserted {
-				remove(v)
-			}
-			return n
-		case <-tick.C:
-		}
-		if len(inserted) > 32 {
-			v := inserted[0]
-			inserted = inserted[1:]
-			remove(v)
-		} else {
-			v := rng.Intn(g.NumVertices())
-			for taken[v] {
-				v = rng.Intn(g.NumVertices())
-			}
-			t0 := time.Now()
-			id, err := tgt.insertNetworkObject(v)
-			if err != nil {
-				log.Printf("churn insert site %d: %v", v, err)
-			} else {
-				hist.Record(time.Since(t0))
-				taken[v] = true
-				if tracker != nil {
-					tracker.registerInsert(id, t0)
-				}
-				inserted = append(inserted, v)
-				n++
-			}
+		m := pick(live)
+		if id, ok := apply(m); ok {
+			live = append(live, index.Mutation{Network: m.Network, ID: id})
 		}
 	}
 }
@@ -633,7 +586,7 @@ func (t inprocTarget) closeSession(sid uint64) error {
 }
 
 func (t inprocTarget) update(entries []api.UpdateEntry) (*api.UpdateResponse, error) {
-	results, err := t.e.UpdateBatch(api.NewLocationUpdates(entries))
+	results, err := t.e.UpdateBatchCtx(context.Background(), api.NewLocationUpdates(entries))
 	if err != nil {
 		return nil, err
 	}
@@ -642,7 +595,7 @@ func (t inprocTarget) update(entries []api.UpdateEntry) (*api.UpdateResponse, er
 }
 
 func (t inprocTarget) networkUpdate(entries []api.NetworkUpdateEntry) (*api.UpdateResponse, error) {
-	results, err := t.e.UpdateNetworkBatch(api.NewNetworkLocationUpdates(entries))
+	results, err := t.e.UpdateNetworkBatchCtx(context.Background(), api.NewNetworkLocationUpdates(entries))
 	if err != nil {
 		return nil, err
 	}
@@ -650,18 +603,12 @@ func (t inprocTarget) networkUpdate(entries []api.NetworkUpdateEntry) (*api.Upda
 	return &resp, nil
 }
 
-func (t inprocTarget) insertObject(x, y float64) (int, error) {
-	return t.e.InsertObject(insq.Pt(x, y))
-}
-
-func (t inprocTarget) removeObject(id int) error { return t.e.RemoveObject(id) }
-
-func (t inprocTarget) insertNetworkObject(vertex int) (int, error) {
-	return t.e.InsertNetworkObject(vertex)
-}
-
-func (t inprocTarget) removeNetworkObject(vertex int) error {
-	return t.e.RemoveNetworkObject(vertex)
+func (t inprocTarget) apply(m index.Mutation) (int, error) {
+	ids, err := t.e.ApplyMutations(context.Background(), []index.Mutation{m})
+	if err != nil {
+		return -1, err
+	}
+	return ids[0], nil
 }
 
 // subscribe consumes the engine's broker directly — the push-latency
@@ -853,16 +800,17 @@ func (t *httpTarget) networkUpdate(entries []api.NetworkUpdateEntry) (*api.Updat
 	return t.c.NetworkUpdate(entries)
 }
 
-func (t *httpTarget) insertObject(x, y float64) (int, error) { return t.c.AddObject(x, y) }
-
-func (t *httpTarget) removeObject(id int) error { return t.c.RemoveObject(id) }
-
-func (t *httpTarget) insertNetworkObject(vertex int) (int, error) {
-	return t.c.AddNetworkObject(vertex)
-}
-
-func (t *httpTarget) removeNetworkObject(vertex int) error {
-	return t.c.RemoveNetworkObject(vertex)
+// apply picks the client route the mutation maps to.
+func (t *httpTarget) apply(m index.Mutation) (int, error) {
+	switch {
+	case m.Network && m.Insert:
+		return t.c.AddNetworkObject(m.ID)
+	case m.Network:
+		return m.ID, t.c.RemoveNetworkObject(m.ID)
+	case m.Insert:
+		return t.c.AddObject(m.P.X, m.P.Y)
+	}
+	return m.ID, t.c.RemoveObject(m.ID)
 }
 
 func (t *httpTarget) subscribe(sids []uint64, onEvent func(api.SessionEvent)) (func(), error) {

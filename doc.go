@@ -44,7 +44,12 @@
 //
 //	e, err := insq.NewEngine(insq.EngineConfig{Shards: 8, Bounds: bounds, Objects: objects})
 //	sid, err := e.CreateSession(5, 1.6)
-//	results, err := e.UpdateBatch([]insq.LocationUpdate{{Session: sid, Pos: pos}})
+//	results, err := e.UpdateBatchCtx(ctx, []insq.LocationUpdate{{Session: sid, Pos: pos}})
+//	ids, err := e.ApplyMutations(ctx, []insq.Mutation{{Insert: true, P: insq.Pt(5, 5)}})
+//
+// Location updates enter through UpdateBatchCtx (UpdateNetworkBatchCtx for
+// road-network sessions); every object write, plane or network, enters
+// through ApplyMutations.
 //
 // cmd/insqd fronts the engine with an HTTP/JSON API and cmd/loadgen drives
 // it with thousands of synthetic moving clients.

@@ -5,6 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
@@ -237,6 +238,10 @@ type (
 	NetworkLocationUpdate = engine.NetworkLocationUpdate
 	// UpdateResult is the per-session outcome of a batched update.
 	UpdateResult = engine.UpdateResult
+	// Mutation is one object write for Engine.ApplyMutations: a plane
+	// object insert (P) or removal (ID), or with Network set a site insert
+	// or removal at vertex ID.
+	Mutation = index.Mutation
 	// EngineStats is an aggregated engine serving snapshot.
 	EngineStats = engine.Stats
 	// SessionState is a point-in-time kNN snapshot of one live session.
@@ -246,7 +251,7 @@ type (
 )
 
 // Continuous-query push streaming (Engine.Stream): incremental kNN result
-// deltas delivered to subscribers instead of polled via UpdateBatch.
+// deltas delivered to subscribers instead of polled via UpdateBatchCtx.
 type (
 	// StreamBroker fans per-session result events out to subscribers with
 	// bounded, coalescing queues; reach it via Engine.Stream().

@@ -44,12 +44,12 @@ func TestPinnedLogOverflowConvergesPlane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Remove(cur[0]); err != nil {
+		if _, err := applyOne(st, index.Mutation{ID: cur[0]}); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 7; i++ {
 			d := float64(round*8 + i + 1)
-			if _, err := st.Insert(geom.Pt(500+d, 500-d)); err != nil {
+			if _, err := applyOne(st, index.Mutation{Insert: true, P: geom.Pt(500+d, 500-d)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -102,14 +102,14 @@ func TestPinnedLogOverflowConvergesNetwork(t *testing.T) {
 	// Site churn that changes the answer around vertex 7 (inserts at its
 	// neighborhood, removal of a seed site), five ops against a 2-deep log.
 	for _, v := range []int{2, 8, 11} {
-		if err := st.InsertSite(v); err != nil {
+		if _, err := applyOne(st, index.Mutation{Network: true, Insert: true, ID: v}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.RemoveSite(6); err != nil {
+	if _, err := applyOne(st, index.Mutation{Network: true, ID: 6}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.InsertSite(13); err != nil {
+	if _, err := applyOne(st, index.Mutation{Network: true, Insert: true, ID: 13}); err != nil {
 		t.Fatal(err)
 	}
 	recomps := q.Metrics().Recomputations

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestPinnedMatchesRawUnderMutations(t *testing.T) {
 		if step%2 == 0 && len(inserted) > 4 {
 			id := inserted[0]
 			inserted = inserted[1:]
-			if err := st.Remove(id); err != nil {
+			if _, err := applyOne(st, index.Mutation{ID: id}); err != nil {
 				t.Fatal(err)
 			}
 			if ref.UsesObject(id) {
@@ -58,7 +59,7 @@ func TestPinnedMatchesRawUnderMutations(t *testing.T) {
 			return
 		}
 		p := geom.Pt(float64((step*97)%1000), float64((step*61)%1000))
-		id, err := st.Insert(p)
+		id, err := applyOne(st, index.Mutation{Insert: true, P: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestPinnedMatchesRawUnderMutations(t *testing.T) {
 	}
 	// One more mutation: the store publishes a new version while the
 	// dormant query still pins the old one...
-	if _, err := st.Insert(geom.Pt(777, 777)); err != nil {
+	if _, err := applyOne(st, index.Mutation{Insert: true, P: geom.Pt(777, 777)}); err != nil {
 		t.Fatal(err)
 	}
 	if st.LiveSnapshots() != 2 {
@@ -138,7 +139,7 @@ func TestPinnedLazyInvalidation(t *testing.T) {
 	recomps := q.Metrics().Recomputations
 
 	// Far corner insert: cannot affect R or I(R) of a query at (105,105).
-	if _, err := st.Insert(geom.Pt(850, 850)); err != nil {
+	if _, err := applyOne(st, index.Mutation{Insert: true, P: geom.Pt(850, 850)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.Update(pos); err != nil {
@@ -152,7 +153,7 @@ func TestPinnedLazyInvalidation(t *testing.T) {
 	}
 
 	// Insert right at the query position: must invalidate and become NN.
-	id, err := st.Insert(geom.Pt(105, 106))
+	id, err := applyOne(st, index.Mutation{Insert: true, P: geom.Pt(105, 106)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestPinnedLogOverflowConservative(t *testing.T) {
 	// Five far-away inserts overflow the 2-deep log; even though none
 	// affects the query, it cannot prove that and must recompute.
 	for i := 0; i < 5; i++ {
-		if _, err := st.Insert(geom.Pt(10+float64(i), 10)); err != nil {
+		if _, err := applyOne(st, index.Mutation{Insert: true, P: geom.Pt(10+float64(i), 10)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,4 +243,14 @@ func TestPinnedReadOnly(t *testing.T) {
 	if _, err := NewNetworkQueryPinned(st, 2, 1.6); err == nil {
 		t.Error("network query on plane-only store succeeded")
 	}
+}
+
+// applyOne applies a single mutation through the store's write entry and
+// returns its id.
+func applyOne(st *index.Store, m index.Mutation) (int, error) {
+	ids, err := st.ApplyCtx(context.Background(), []index.Mutation{m})
+	if err != nil {
+		return -1, err
+	}
+	return ids[0], nil
 }

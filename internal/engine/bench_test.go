@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/workload"
 )
 
@@ -74,7 +76,7 @@ func BenchmarkEngineDataUpdate(b *testing.B) {
 				sids[i] = sid
 				batch[i] = LocationUpdate{Session: sid, Pos: geom.Pt(float64(i%100)*10+5, float64(i%50)*20+5)}
 			}
-			if _, err := e.UpdateBatch(batch); err != nil {
+			if _, err := e.UpdateBatchCtx(context.Background(), batch); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -84,13 +86,13 @@ func BenchmarkEngineDataUpdate(b *testing.B) {
 				if len(inserted) > 32 {
 					id := inserted[0]
 					inserted = inserted[1:]
-					if err := e.RemoveObject(id); err != nil {
+					if _, err := applyOne(e, index.Mutation{ID: id}); err != nil {
 						b.Fatal(err)
 					}
 					continue
 				}
 				p := geom.Pt(float64((i*131)%1000), float64((i*373)%1000))
-				id, err := e.InsertObject(p)
+				id, err := applyOne(e, index.Mutation{Insert: true, P: p})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -129,7 +131,7 @@ func BenchmarkEngineLocationUpdate(b *testing.B) {
 						Pos:     geom.Pt(float64((i*7+j*13)%1000), float64((i*11+j*17)%1000)),
 					}
 				}
-				results, err := e.UpdateBatch(batch)
+				results, err := e.UpdateBatchCtx(context.Background(), batch)
 				if err != nil {
 					b.Fatal(err)
 				}

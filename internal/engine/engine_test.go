@@ -85,12 +85,12 @@ func TestEngineManyConcurrentSessions(t *testing.T) {
 			if len(inserted) > 20 {
 				id := inserted[0]
 				inserted = inserted[1:]
-				if err := e.RemoveObject(id); err != nil {
+				if _, err := applyOne(e, index.Mutation{ID: id}); err != nil {
 					t.Errorf("remove %d: %v", id, err)
 				}
 			} else {
 				p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-				id, err := e.InsertObject(p)
+				id, err := applyOne(e, index.Mutation{Insert: true, P: p})
 				if err != nil {
 					t.Errorf("insert %v: %v", p, err)
 				} else {
@@ -120,7 +120,7 @@ func TestEngineManyConcurrentSessions(t *testing.T) {
 				for i, sid := range mine {
 					batch[i] = LocationUpdate{Session: sid, Pos: trajs[i][s]}
 				}
-				results, err := e.UpdateBatch(batch)
+				results, err := e.UpdateBatchCtx(context.Background(), batch)
 				if err != nil {
 					t.Errorf("driver %d step %d: %v", d, s, err)
 					return
@@ -206,7 +206,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		for i := range sids {
 			batch[i] = LocationUpdate{Session: sids[i], Pos: trajs[i][s]}
 		}
-		results, err := e.UpdateBatch(batch)
+		results, err := e.UpdateBatchCtx(context.Background(), batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestEngineDataUpdateInvalidation(t *testing.T) {
 
 	// Insert an object right at the query position: it must become the NN
 	// at the next update.
-	newID, err := e.InsertObject(geom.Pt(479, 481))
+	newID, err := applyOne(e, index.Mutation{Insert: true, P: geom.Pt(479, 481)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestEngineDataUpdateInvalidation(t *testing.T) {
 	}
 
 	// Remove it again: the previous NN must come back.
-	if err := e.RemoveObject(newID); err != nil {
+	if _, err := applyOne(e, index.Mutation{ID: newID}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mustUpdate(t, e, sid, pos); !equalInts(got, knn) {
@@ -280,7 +280,7 @@ func TestEngineDataUpdateInvalidation(t *testing.T) {
 
 func mustUpdate(t *testing.T, e *Engine, sid SessionID, pos geom.Point) []int {
 	t.Helper()
-	results, err := e.UpdateBatch([]LocationUpdate{{Session: sid, Pos: pos}})
+	results, err := e.UpdateBatchCtx(context.Background(), []LocationUpdate{{Session: sid, Pos: pos}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestEngineNetworkSessions(t *testing.T) {
 	}
 	for dist := 0.0; dist <= route.Length(); dist += 25 {
 		pos := route.PositionAt(dist)
-		results, err := e.UpdateNetworkBatch([]NetworkLocationUpdate{{Session: sid, Pos: pos}})
+		results, err := e.UpdateNetworkBatchCtx(context.Background(), []NetworkLocationUpdate{{Session: sid, Pos: pos}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func TestEngineNetworkSessions(t *testing.T) {
 	}
 
 	// A plane update against a network session is a per-entry error.
-	results, err := e.UpdateBatch([]LocationUpdate{{Session: sid, Pos: geom.Pt(1, 1)}})
+	results, err := e.UpdateBatchCtx(context.Background(), []LocationUpdate{{Session: sid, Pos: geom.Pt(1, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestEngineErrors(t *testing.T) {
 	if err := e.CloseSession(0); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("close zero: %v", err)
 	}
-	results, err := e.UpdateBatch([]LocationUpdate{{Session: 12345, Pos: geom.Pt(1, 1)}, {Session: 0, Pos: geom.Pt(1, 1)}})
+	results, err := e.UpdateBatchCtx(context.Background(), []LocationUpdate{{Session: 12345, Pos: geom.Pt(1, 1)}, {Session: 0, Pos: geom.Pt(1, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,10 +392,10 @@ func TestEngineErrors(t *testing.T) {
 		t.Errorf("double close: %v", err)
 	}
 
-	if err := e.RemoveObject(99999); !errors.Is(err, ErrUnknownObject) {
+	if _, err := applyOne(e, index.Mutation{ID: 99999}); !errors.Is(err, ErrUnknownObject) {
 		t.Errorf("remove of unknown object: %v", err)
 	}
-	if _, err := e.InsertObject(geom.Pt(-1, -1)); !errors.Is(err, ErrOutOfBounds) {
+	if _, err := applyOne(e, index.Mutation{Insert: true, P: geom.Pt(-1, -1)}); !errors.Is(err, ErrOutOfBounds) {
 		t.Errorf("out-of-bounds insert: %v", err)
 	}
 }
@@ -415,7 +415,7 @@ func TestEngineClose(t *testing.T) {
 	if _, err := e.CreateSession(2, 1.6); !errors.Is(err, ErrClosed) {
 		t.Errorf("create after close: %v", err)
 	}
-	if _, err := e.UpdateBatch([]LocationUpdate{{Session: sid}}); !errors.Is(err, ErrClosed) {
+	if _, err := e.UpdateBatchCtx(context.Background(), []LocationUpdate{{Session: sid}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("update after close: %v", err)
 	}
 	if err := e.CloseSession(sid); !errors.Is(err, ErrClosed) {
@@ -424,11 +424,11 @@ func TestEngineClose(t *testing.T) {
 	if _, err := e.Stats(); !errors.Is(err, ErrClosed) {
 		t.Errorf("stats after close: %v", err)
 	}
-	if _, err := e.InsertObject(geom.Pt(1, 1)); !errors.Is(err, ErrClosed) {
+	if _, err := applyOne(e, index.Mutation{Insert: true, P: geom.Pt(1, 1)}); !errors.Is(err, ErrClosed) {
 		t.Errorf("insert after close: %v", err)
 	}
 	// ErrClosed wins over input validation on a closed engine.
-	if _, err := e.InsertObject(geom.Pt(-1, -1)); !errors.Is(err, ErrClosed) {
+	if _, err := applyOne(e, index.Mutation{Insert: true, P: geom.Pt(-1, -1)}); !errors.Is(err, ErrClosed) {
 		t.Errorf("out-of-bounds insert after close: %v", err)
 	}
 }
@@ -506,4 +506,14 @@ func TestApplyMutations(t *testing.T) {
 	if _, err := e.ApplyMutations(context.Background(), []index.Mutation{{ID: 1 << 30}}); !errors.Is(err, ErrUnknownObject) {
 		t.Fatalf("want ErrUnknownObject, got %v", err)
 	}
+}
+
+// applyOne applies a single mutation through the engine's object-write
+// entry and returns its id.
+func applyOne(e *Engine, m index.Mutation) (int, error) {
+	ids, err := e.ApplyMutations(context.Background(), []index.Mutation{m})
+	if err != nil {
+		return -1, err
+	}
+	return ids[0], nil
 }

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
 	"repro/internal/stream"
@@ -131,7 +133,7 @@ func TestEngineNetworkEquivalenceUnderMutations(t *testing.T) {
 		if s%3 == 2 && len(added) > 2 {
 			victim := added[0]
 			added = added[1:]
-			if err := e.RemoveNetworkObject(victim); err != nil {
+			if _, err := applyOne(e, index.Mutation{Network: true, ID: victim}); err != nil {
 				t.Fatalf("step %d remove site %d: %v", s, victim, err)
 			}
 			isSite[victim] = false
@@ -149,7 +151,7 @@ func TestEngineNetworkEquivalenceUnderMutations(t *testing.T) {
 			for isSite[v] {
 				v = rng.Intn(g.NumVertices())
 			}
-			if _, err := e.InsertNetworkObject(v); err != nil {
+			if _, err := applyOne(e, index.Mutation{Network: true, Insert: true, ID: v}); err != nil {
 				t.Fatalf("step %d insert site %d: %v", s, v, err)
 			}
 			isSite[v] = true
@@ -173,7 +175,7 @@ func TestEngineNetworkEquivalenceUnderMutations(t *testing.T) {
 		for i := range sids {
 			batch[i] = NetworkLocationUpdate{Session: sids[i], Pos: routes[i].PositionAt(dist)}
 		}
-		results, err := e.UpdateNetworkBatch(batch)
+		results, err := e.UpdateNetworkBatchCtx(context.Background(), batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +240,7 @@ func TestStreamNetworkEagerPush(t *testing.T) {
 	for isSite[home] {
 		home++
 	}
-	res, err := e.UpdateNetworkBatch([]NetworkLocationUpdate{{Session: sid, Pos: roadnet.VertexPosition(home)}})
+	res, err := e.UpdateNetworkBatchCtx(context.Background(), []NetworkLocationUpdate{{Session: sid, Pos: roadnet.VertexPosition(home)}})
 	if err != nil || res[0].Err != nil {
 		t.Fatalf("update: %v / %v", err, res[0].Err)
 	}
@@ -246,7 +248,7 @@ func TestStreamNetworkEagerPush(t *testing.T) {
 	sub := e.Stream().Subscribe(0, uint64(sid))
 	defer sub.Close()
 
-	id, err := e.InsertNetworkObject(home)
+	id, err := applyOne(e, index.Mutation{Network: true, Insert: true, ID: home})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/trajectory"
 	"repro/internal/vortree"
 	"repro/internal/workload"
@@ -96,7 +98,7 @@ func TestEngineEquivalenceUnderMutations(t *testing.T) {
 		if s%3 == 2 && len(inserted) > 3 {
 			id := inserted[0]
 			inserted = inserted[1:]
-			if err := e.RemoveObject(id); err != nil {
+			if _, err := applyOne(e, index.Mutation{ID: id}); err != nil {
 				t.Fatalf("step %d remove %d: %v", s, id, err)
 			}
 			for _, r := range refs {
@@ -104,7 +106,7 @@ func TestEngineEquivalenceUnderMutations(t *testing.T) {
 			}
 		} else {
 			p := geom.Pt(float64((s*131)%1000), float64((s*373)%1000))
-			id, err := e.InsertObject(p)
+			id, err := applyOne(e, index.Mutation{Insert: true, P: p})
 			if err != nil {
 				t.Fatalf("step %d insert: %v", s, err)
 			}
@@ -118,7 +120,7 @@ func TestEngineEquivalenceUnderMutations(t *testing.T) {
 		for i := range sids {
 			batch[i] = LocationUpdate{Session: sids[i], Pos: trajs[i][s]}
 		}
-		results, err := e.UpdateBatch(batch)
+		results, err := e.UpdateBatchCtx(context.Background(), batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +221,7 @@ func TestEngineCrossShardCoherence(t *testing.T) {
 			for i, sid := range extra {
 				batch[i] = LocationUpdate{Session: sid, Pos: traj[s%len(traj)]}
 			}
-			if _, err := e.UpdateBatch(batch); err != nil {
+			if _, err := e.UpdateBatchCtx(context.Background(), batch); err != nil {
 				t.Errorf("background batch: %v", err)
 				return
 			}
@@ -234,7 +236,7 @@ func TestEngineCrossShardCoherence(t *testing.T) {
 		// session syncs to an epoch >= it.
 		if s%2 == 0 {
 			p := geom.Pt(float64((s*211)%1000), float64((s*97)%1000))
-			id, err := e.InsertObject(p)
+			id, err := applyOne(e, index.Mutation{Insert: true, P: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +244,7 @@ func TestEngineCrossShardCoherence(t *testing.T) {
 		} else if len(inserted) > 2 {
 			id := inserted[0]
 			inserted = inserted[1:]
-			if err := e.RemoveObject(id); err != nil {
+			if _, err := applyOne(e, index.Mutation{ID: id}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -251,7 +253,7 @@ func TestEngineCrossShardCoherence(t *testing.T) {
 		for i, sid := range sids {
 			batch[i] = LocationUpdate{Session: sid, Pos: traj[s]}
 		}
-		results, err := e.UpdateBatch(batch)
+		results, err := e.UpdateBatchCtx(context.Background(), batch)
 		if err != nil {
 			t.Fatal(err)
 		}

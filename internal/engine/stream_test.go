@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -152,7 +154,7 @@ func TestStreamNotificationOrdering(t *testing.T) {
 
 	// Baseline: one location update per session; each publishes its first
 	// event (full kNN as Added).
-	results, err := e.UpdateBatch(batch)
+	results, err := e.UpdateBatchCtx(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestStreamNotificationOrdering(t *testing.T) {
 		if !bounds.Contains(p) {
 			p = geom.Pt(500+rng.Float64(), 500+rng.Float64())
 		}
-		if _, err := e.InsertObject(p); err != nil {
+		if _, err := applyOne(e, index.Mutation{Insert: true, P: p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +190,7 @@ func TestStreamNotificationOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.UpdateBatch([]LocationUpdate{{Session: vid, Pos: pos[i]}})
+		res, err := e.UpdateBatchCtx(context.Background(), []LocationUpdate{{Session: vid, Pos: pos[i]}})
 		if err != nil || res[0].Err != nil {
 			t.Fatalf("verify session: %v / %v", err, res[0].Err)
 		}
@@ -270,7 +272,7 @@ func TestStreamEagerPushWithoutPolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.UpdateBatch([]LocationUpdate{{Session: sid, Pos: geom.Pt(500, 500)}})
+	res, err := e.UpdateBatchCtx(context.Background(), []LocationUpdate{{Session: sid, Pos: geom.Pt(500, 500)}})
 	if err != nil || res[0].Err != nil {
 		t.Fatalf("update: %v / %v", err, res[0].Err)
 	}
@@ -279,7 +281,7 @@ func TestStreamEagerPushWithoutPolling(t *testing.T) {
 	defer sub.Close()
 
 	// This object lands a hair from the session — it must become its 1-NN.
-	id, err := e.InsertObject(geom.Pt(500.01, 500.01))
+	id, err := applyOne(e, index.Mutation{Insert: true, P: geom.Pt(500.01, 500.01)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +335,7 @@ func TestStreamDeltaChainSurvivesRefreshError(t *testing.T) {
 		t.Fatal(err)
 	}
 	pos := geom.Pt(50, 50)
-	if res, err := e.UpdateBatch([]LocationUpdate{{Session: sid, Pos: pos}}); err != nil || res[0].Err != nil {
+	if res, err := e.UpdateBatchCtx(context.Background(), []LocationUpdate{{Session: sid, Pos: pos}}); err != nil || res[0].Err != nil {
 		t.Fatalf("update: %v / %v", err, res[0].Err)
 	}
 
@@ -350,10 +352,10 @@ func TestStreamDeltaChainSurvivesRefreshError(t *testing.T) {
 
 	// Drop to 4 objects: k=5 is now unsatisfiable, the eager recompute
 	// errors, and the subscriber must be told its view is stale.
-	if err := e.RemoveObject(0); err != nil {
+	if _, err := applyOne(e, index.Mutation{ID: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RemoveObject(1); err != nil {
+	if _, err := applyOne(e, index.Mutation{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor := func(desc string, pred func([]stream.Event) bool) []stream.Event {
@@ -375,10 +377,10 @@ func TestStreamDeltaChainSurvivesRefreshError(t *testing.T) {
 
 	// Recovery: two inserts restore k-satisfiability; the recompute's
 	// delta must build the new view from the published empty baseline.
-	if _, err := e.InsertObject(geom.Pt(50.5, 50.5)); err != nil {
+	if _, err := applyOne(e, index.Mutation{Insert: true, P: geom.Pt(50.5, 50.5)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.InsertObject(geom.Pt(49.5, 49.5)); err != nil {
+	if _, err := applyOne(e, index.Mutation{Insert: true, P: geom.Pt(49.5, 49.5)}); err != nil {
 		t.Fatal(err)
 	}
 	evs := waitFor("recovered kNN", func(evs []stream.Event) bool {
@@ -401,7 +403,7 @@ func TestStreamDeltaChainSurvivesRefreshError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.UpdateBatch([]LocationUpdate{{Session: vid, Pos: pos}})
+	res, err := e.UpdateBatchCtx(context.Background(), []LocationUpdate{{Session: vid, Pos: pos}})
 	if err != nil || res[0].Err != nil {
 		t.Fatalf("verify: %v / %v", err, res[0].Err)
 	}
@@ -441,7 +443,7 @@ func TestStreamSlowConsumerBounded(t *testing.T) {
 		for i := range batch {
 			batch[i].Pos = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		}
-		if _, err := e.UpdateBatch(batch); err != nil {
+		if _, err := e.UpdateBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		if n := sub.Pending(); n > depth {

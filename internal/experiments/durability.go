@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -91,17 +92,8 @@ func servingRate(e *engine.Engine, sessions, steps int, seed int64) (rate float6
 	start := time.Now()
 	for s := 0; s < steps; s++ {
 		if s%4 == 1 {
-			if len(inserted) > 8 {
-				if err := e.RemoveObject(inserted[0]); err != nil {
-					return 0, 0, err
-				}
-				inserted = inserted[1:]
-			} else {
-				id, err := e.InsertObject(geom.Pt(float64((s*131)%10000), float64((s*373)%10000)))
-				if err != nil {
-					return 0, 0, err
-				}
-				inserted = append(inserted, id)
+			if inserted, err = churnStep(e, s, inserted); err != nil {
+				return 0, 0, err
 			}
 			churn++
 		}
@@ -111,7 +103,7 @@ func servingRate(e *engine.Engine, sessions, steps int, seed int64) (rate float6
 			for i := lo; i < hi; i++ {
 				batch[i-lo] = engine.LocationUpdate{Session: sids[i], Pos: trajs[i][s]}
 			}
-			results, err := e.UpdateBatch(batch)
+			results, err := e.UpdateBatchCtx(context.Background(), batch)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -133,24 +125,12 @@ func servingRate(e *engine.Engine, sessions, steps int, seed int64) (rate float6
 // applyChurnUS measures the mean wall cost of one single-mutation churn
 // batch (insert+remove pairs) against st.
 func applyChurnUS(st *index.Store, rounds int) (float64, error) {
-	for i := 0; i < rounds/4; i++ { // warm the branch chain (and the log's page cache)
-		id, err := st.Insert(geom.Pt(float64((i*29)%9973)+1, float64((i*31)%9941)+1))
-		if err != nil {
-			return 0, err
-		}
-		if err := st.Remove(id); err != nil {
-			return 0, err
-		}
+	if err := churnPairs(st, rounds/4, 29, 31); err != nil { // warm the branch chain (and the log's page cache)
+		return 0, err
 	}
 	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		id, err := st.Insert(geom.Pt(float64((i*131)%9973)+1, float64((i*373)%9941)+1))
-		if err != nil {
-			return 0, err
-		}
-		if err := st.Remove(id); err != nil {
-			return 0, err
-		}
+	if err := churnPairs(st, rounds, 131, 373); err != nil {
+		return 0, err
 	}
 	return float64(time.Since(start).Nanoseconds()) / 1e3 / float64(2*rounds), nil
 }
@@ -285,14 +265,8 @@ func DurabilityBench(cfg Config) (DurabilityBenchResult, error) {
 	if err != nil {
 		return DurabilityBenchResult{}, err
 	}
-	for i := 0; i < replayBatches/2; i++ {
-		id, err := rmgr.Store().Insert(geom.Pt(float64((i*131)%9973)+1, float64((i*373)%9941)+1))
-		if err != nil {
-			return DurabilityBenchResult{}, err
-		}
-		if err := rmgr.Store().Remove(id); err != nil {
-			return DurabilityBenchResult{}, err
-		}
+	if err := churnPairs(rmgr.Store(), replayBatches/2, 131, 373); err != nil {
+		return DurabilityBenchResult{}, err
 	}
 	rmgr.Store().Close() // crash: no manager Close, no final checkpoint
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -73,27 +74,51 @@ func publishProbeUS(n, rounds int, seed int64) (float64, error) {
 		return 0, err
 	}
 	defer st.Close()
-	for i := 0; i < rounds/4; i++ { // warm up the page tables and the branch chain
-		id, err := st.Insert(geom.Pt(float64((i*29)%9973)+1, float64((i*31)%9941)+1))
-		if err != nil {
-			return 0, err
-		}
-		if err := st.Remove(id); err != nil {
-			return 0, err
-		}
+	if err := churnPairs(st, rounds/4, 29, 31); err != nil { // warm up the page tables and the branch chain
+		return 0, err
 	}
 	pubs0, total0 := st.PublishStats()
-	for i := 0; i < rounds; i++ {
-		id, err := st.Insert(geom.Pt(float64((i*131)%9973)+1, float64((i*373)%9941)+1))
-		if err != nil {
-			return 0, err
-		}
-		if err := st.Remove(id); err != nil {
-			return 0, err
-		}
+	if err := churnPairs(st, rounds, 131, 373); err != nil {
+		return 0, err
 	}
 	pubs, total := st.PublishStats()
 	return float64((total - total0).Nanoseconds()) / 1e3 / float64(pubs-pubs0), nil
+}
+
+// churnPairs applies rounds insert+remove pairs to st, each mutation its
+// own single-mutation epoch; the points are spread over the data space by
+// the multipliers mx, my.
+func churnPairs(st *index.Store, rounds, mx, my int) error {
+	ctx := context.Background()
+	for i := 0; i < rounds; i++ {
+		p := geom.Pt(float64((i*mx)%9973)+1, float64((i*my)%9941)+1)
+		ids, err := st.ApplyCtx(ctx, []index.Mutation{{Insert: true, P: p}})
+		if err != nil {
+			return err
+		}
+		if _, err := st.ApplyCtx(ctx, []index.Mutation{{ID: ids[0]}}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// churnStep applies step s's object churn to e: an insert until more than
+// eight churned objects are live, then a removal of the oldest. It
+// returns the updated live list.
+func churnStep(e *engine.Engine, s int, inserted []int) ([]int, error) {
+	m := index.Mutation{Insert: true, P: geom.Pt(float64((s*131)%10000), float64((s*373)%10000))}
+	if len(inserted) > 8 {
+		m = index.Mutation{ID: inserted[0]}
+	}
+	ids, err := e.ApplyMutations(context.Background(), []index.Mutation{m})
+	switch {
+	case err != nil:
+		return inserted, err
+	case m.Insert:
+		return append(inserted, ids[0]), nil
+	}
+	return inserted[1:], nil
 }
 
 // EngineBench drives the serving engine with a closed-loop batched
@@ -147,17 +172,8 @@ func EngineBench(cfg Config) (EngineBenchResult, error) {
 	for s := 0; s < steps; s++ {
 		// Object churn: one data update every four steps.
 		if s%4 == 1 {
-			if len(inserted) > 8 {
-				if err := e.RemoveObject(inserted[0]); err != nil {
-					return EngineBenchResult{}, err
-				}
-				inserted = inserted[1:]
-			} else {
-				id, err := e.InsertObject(geom.Pt(float64((s*131)%10000), float64((s*373)%10000)))
-				if err != nil {
-					return EngineBenchResult{}, err
-				}
-				inserted = append(inserted, id)
+			if inserted, err = churnStep(e, s, inserted); err != nil {
+				return EngineBenchResult{}, err
 			}
 			churn++
 		}
@@ -167,7 +183,7 @@ func EngineBench(cfg Config) (EngineBenchResult, error) {
 			for i := lo; i < hi; i++ {
 				batch[i-lo] = engine.LocationUpdate{Session: sids[i], Pos: trajs[i][s]}
 			}
-			results, err := e.UpdateBatch(batch)
+			results, err := e.UpdateBatchCtx(context.Background(), batch)
 			if err != nil {
 				return EngineBenchResult{}, err
 			}

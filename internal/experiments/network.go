@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -105,13 +106,14 @@ func networkPublishProbeUS(grid, nSites, rounds int, seed int64) (float64, error
 		}
 		return v
 	}
+	ctx := context.Background()
 	churn := func(rounds int) error {
 		for i := 0; i < rounds; i++ {
 			v := freeVertex()
-			if err := st.InsertSite(v); err != nil {
+			if _, err := st.ApplyCtx(ctx, []index.Mutation{{Network: true, Insert: true, ID: v}}); err != nil {
 				return err
 			}
-			if err := st.RemoveSite(v); err != nil {
+			if _, err := st.ApplyCtx(ctx, []index.Mutation{{Network: true, ID: v}}); err != nil {
 				return err
 			}
 		}
@@ -134,6 +136,7 @@ func networkPublishProbeUS(grid, nSites, rounds int, seed int64) (float64, error
 // numbers — the road twin of EngineBench. Scale divides sessions and
 // steps.
 func NetworkBench(cfg Config) (NetworkBenchResult, error) {
+	ctx := context.Background()
 	const (
 		k        = 5
 		rho      = 1.6
@@ -231,7 +234,7 @@ func NetworkBench(cfg Config) (NetworkBenchResult, error) {
 		for i := lo; i < hi; i++ {
 			batch[i-lo] = engine.NetworkLocationUpdate{Session: sids[i], Pos: trajs[i][0]}
 		}
-		results, err := e.UpdateNetworkBatch(batch)
+		results, err := e.UpdateNetworkBatchCtx(ctx, batch)
 		if err != nil {
 			return NetworkBenchResult{}, err
 		}
@@ -253,24 +256,21 @@ func NetworkBench(cfg Config) (NetworkBenchResult, error) {
 	for s := 1; s < steps; s++ {
 		// Site churn: one data update every four steps.
 		if s%4 == 1 {
+			m := index.Mutation{Network: true, Insert: true}
 			if len(inserted) > 8 {
-				v := inserted[0]
+				m.ID, m.Insert = inserted[0], false
 				inserted = inserted[1:]
-				if err := e.RemoveNetworkObject(v); err != nil {
-					return NetworkBenchResult{}, err
-				}
-				delete(taken, v)
 			} else {
-				v := rng.Intn(g.NumVertices())
-				for taken[v] {
-					v = rng.Intn(g.NumVertices())
+				m.ID = rng.Intn(g.NumVertices())
+				for taken[m.ID] {
+					m.ID = rng.Intn(g.NumVertices())
 				}
-				if _, err := e.InsertNetworkObject(v); err != nil {
-					return NetworkBenchResult{}, err
-				}
-				taken[v] = true
-				inserted = append(inserted, v)
+				inserted = append(inserted, m.ID)
 			}
+			if _, err := e.ApplyMutations(ctx, []index.Mutation{m}); err != nil {
+				return NetworkBenchResult{}, err
+			}
+			taken[m.ID] = m.Insert
 			churn++
 		}
 		for lo := 0; lo < sessions; lo += batchLen {
@@ -279,7 +279,7 @@ func NetworkBench(cfg Config) (NetworkBenchResult, error) {
 			for i := lo; i < hi; i++ {
 				batch[i-lo] = engine.NetworkLocationUpdate{Session: sids[i], Pos: trajs[i][s]}
 			}
-			results, err := e.UpdateNetworkBatch(batch)
+			results, err := e.UpdateNetworkBatchCtx(ctx, batch)
 			if err != nil {
 				return NetworkBenchResult{}, err
 			}

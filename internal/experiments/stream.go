@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -102,7 +104,8 @@ func StreamBench(cfg Config) (StreamBenchResult, error) {
 		pos[i] = geom.Pt(rng.Float64()*Bounds.Max.X, rng.Float64()*Bounds.Max.Y)
 		batch[i] = engine.LocationUpdate{Session: sid, Pos: pos[i]}
 	}
-	if _, err := e.UpdateBatch(batch); err != nil {
+	ctx := context.Background()
+	if _, err := e.UpdateBatchCtx(ctx, batch); err != nil {
 		return StreamBenchResult{}, err
 	}
 
@@ -160,7 +163,7 @@ func StreamBench(cfg Config) (StreamBenchResult, error) {
 		if len(inserted) > 32 {
 			id := inserted[0]
 			inserted = inserted[1:]
-			if err := e.RemoveObject(id); err != nil {
+			if _, err := e.ApplyMutations(ctx, []index.Mutation{{ID: id}}); err != nil {
 				return StreamBenchResult{}, err
 			}
 			continue
@@ -171,14 +174,14 @@ func StreamBench(cfg Config) (StreamBenchResult, error) {
 			p = geom.Pt(Bounds.Max.X/2, Bounds.Max.Y/2)
 		}
 		t0 := time.Now()
-		id, err := e.InsertObject(p)
+		ids, err := e.ApplyMutations(ctx, []index.Mutation{{Insert: true, P: p}})
 		if err != nil {
 			return StreamBenchResult{}, err
 		}
 		mu.Lock()
-		sent[id] = t0
+		sent[ids[0]] = t0
 		mu.Unlock()
-		inserted = append(inserted, id)
+		inserted = append(inserted, ids[0])
 	}
 
 	// Let the tail of the fan-out land, then detach the consumer.

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -50,7 +51,7 @@ func TestStoreNetworkApply(t *testing.T) {
 	oldKNN, _ := old.Network().KNNWithDistances(probe, 3)
 
 	v := freeVertex(st, g, rng)
-	if err := st.InsertSite(v); err != nil {
+	if _, err := applyOne(st, Mutation{Network: true, Insert: true, ID: v}); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Epoch(); got != 1 {
@@ -62,7 +63,7 @@ func TestStoreNetworkApply(t *testing.T) {
 	if old.Network().IsSite(v) {
 		t.Fatalf("pinned snapshot gained site %d", v)
 	}
-	if err := st.RemoveSite(sites[0]); err != nil {
+	if _, err := applyOne(st, Mutation{Network: true, ID: sites[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if old.Network().Len() != len(sites) {
@@ -115,7 +116,7 @@ func TestStoreNetworkValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := st.Apply(c.muts); !errors.Is(err, c.want) {
+			if _, err := st.ApplyCtx(context.Background(), c.muts); !errors.Is(err, c.want) {
 				t.Fatalf("Apply = %v, want %v", err, c.want)
 			}
 		})
@@ -126,7 +127,7 @@ func TestStoreNetworkValidation(t *testing.T) {
 
 	// Remove-then-reinsert of the same vertex within one batch is
 	// well-defined and must pass validation.
-	if _, err := st.Apply([]Mutation{
+	if _, err := st.ApplyCtx(context.Background(), []Mutation{
 		{Network: true, ID: sites[0]},
 		{Network: true, Insert: true, ID: sites[0]},
 	}); err != nil {
@@ -137,7 +138,7 @@ func TestStoreNetworkValidation(t *testing.T) {
 	}
 
 	// A plane mutation on a network-only store fails.
-	if _, err := st.Apply([]Mutation{{Insert: true, P: geom.Pt(1, 1)}}); !errors.Is(err, ErrNoPlane) {
+	if _, err := st.ApplyCtx(context.Background(), []Mutation{{Insert: true, P: geom.Pt(1, 1)}}); !errors.Is(err, ErrNoPlane) {
 		t.Fatalf("plane mutation on network store = %v, want ErrNoPlane", err)
 	}
 }
@@ -176,7 +177,7 @@ func TestStoreMixedBatch(t *testing.T) {
 	defer st.Close()
 
 	v := firstFree(st, g)
-	ids, err := st.Apply([]Mutation{
+	ids, err := st.ApplyCtx(context.Background(), []Mutation{
 		{Insert: true, P: geom.Pt(500, 500)},
 		{Network: true, Insert: true, ID: v},
 	})

@@ -25,11 +25,11 @@ func BenchmarkStoreApplyPublish(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				id, err := st.Insert(geom.Pt(float64((i*131)%9973)+1, float64((i*373)%9941)+1))
+				id, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(float64((i*131)%9973)+1, float64((i*373)%9941)+1)})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := st.Remove(id); err != nil {
+				if _, err := applyOne(st, Mutation{ID: id}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -52,7 +52,7 @@ func TestPublishSharesStructure(t *testing.T) {
 	q := geom.Pt(5000, 5000)
 	before := old.Plane().KNN(q, 8)
 
-	if _, err := st.Insert(geom.Pt(5000.5, 5000.5)); err != nil {
+	if _, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(5000.5, 5000.5)}); err != nil {
 		t.Fatal(err)
 	}
 	copied, total := st.PlaneShareStats()
@@ -92,7 +92,7 @@ func TestApplyPoisonFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := st.Insert(geom.Pt(10, 10)); err != nil {
+	if _, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(10, 10)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -102,7 +102,7 @@ func TestApplyPoisonFallback(t *testing.T) {
 	st.poisoned = true
 	st.mu.Unlock()
 
-	id, err := st.Insert(geom.Pt(20, 20))
+	id, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(20, 20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestApplyPoisonFallback(t *testing.T) {
 		t.Fatalf("KNN after fallback = %v, want [%d]", got, id)
 	}
 	// And the next epoch goes back to path copying.
-	if _, err := st.Insert(geom.Pt(30, 30)); err != nil {
+	if _, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(30, 30)}); err != nil {
 		t.Fatal(err)
 	}
 	copied, total := st.PlaneShareStats()

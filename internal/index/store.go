@@ -79,7 +79,7 @@ type Config struct {
 	// checkpoint epoch instead of seeding from Objects/NetworkSites (which
 	// are then ignored; Bounds and Network still describe the data space).
 	// The durability layer (internal/wal) fills it from the newest valid
-	// checkpoint, then replays the write-ahead log tail through Apply.
+	// checkpoint, then replays the write-ahead log tail through ApplyCtx.
 	Restore *Restore
 
 	// Obs, when non-nil, times epoch publication (the publish stage) and
@@ -107,7 +107,7 @@ type Restore struct {
 	Sites []int
 }
 
-// Durability is the optional write-ahead hook of the store. Apply invokes
+// Durability is the optional write-ahead hook of the store. ApplyCtx invokes
 // it after the whole batch mutated the copy-on-write branch but before the
 // snapshot is published or any caller sees the new epoch — the append (and
 // its policy-dependent fsync) is the durability point of the batch. An
@@ -177,7 +177,7 @@ type Store struct {
 	// poisoned is set when a plane mutation batch aborts after partially
 	// mutating the path-copied branch: the writer state shared along the
 	// branch chain (duplicate index, free list) may then be out of sync,
-	// so the next Apply publishes through a deep Clone — the fallback that
+	// so the next ApplyCtx publishes through a deep Clone — the fallback that
 	// rebuilds it — instead of a Branch. The network side needs no such
 	// flag: a netvor branch shares no writer state with its parent, so an
 	// abandoned branch cannot corrupt the published snapshot.
@@ -187,8 +187,8 @@ type Store struct {
 
 	obs *obs.Pipeline // nil when observability is off
 
-	publishes atomic.Uint64 // epochs published by Apply
-	publishNS atomic.Int64  // cumulative wall time inside Apply
+	publishes atomic.Uint64 // epochs published by ApplyCtx
+	publishNS atomic.Int64  // cumulative wall time inside ApplyCtx
 
 	subMu sync.Mutex
 	subs  []chan uint64
@@ -347,58 +347,23 @@ func (s *Snapshot) tryPin() bool {
 	}
 }
 
-// Insert adds one plane data object copy-on-write and publishes the next
-// snapshot. It returns the assigned object id (inserting a duplicate point
-// returns the existing id, still consuming an epoch).
-func (st *Store) Insert(p geom.Point) (int, error) {
-	ids, err := st.Apply([]Mutation{{Insert: true, P: p}})
-	if err != nil {
-		return -1, err
-	}
-	return ids[0], nil
-}
-
-// Remove deletes one plane data object copy-on-write and publishes the
-// next snapshot.
-func (st *Store) Remove(id int) error {
-	_, err := st.Apply([]Mutation{{ID: id}})
-	return err
-}
-
-// InsertSite adds one network data object at vertex v copy-on-write and
-// publishes the next snapshot.
-func (st *Store) InsertSite(v int) error {
-	_, err := st.Apply([]Mutation{{Network: true, Insert: true, ID: v}})
-	return err
-}
-
-// RemoveSite deletes the network data object at vertex v copy-on-write
-// and publishes the next snapshot.
-func (st *Store) RemoveSite(v int) error {
-	_, err := st.Apply([]Mutation{{Network: true, ID: v}})
-	return err
-}
-
-// Apply applies a batch of mutations under at most ONE path-copied branch
-// per index side and ONE publish, and returns the object id of each
-// mutation in order. Publication is sublinear in the object count on both
-// sides: the plane branch shares every untouched R-tree node and Voronoi
-// overlay page, and the network branch shares every untouched
-// shortest-path label page, with the snapshot it supersedes — the epoch
-// cost is proportional to the batch's structural footprint, not to the
-// index size. A failed mutation aborts the whole batch without publishing
-// anything; if a plane abort happened after part of the batch already
-// mutated the branch, the next Apply falls back to a deep Clone, which
-// rebuilds the writer state the abandoned branch shared with the published
-// snapshot (network branches share no writer state, so they are simply
-// discarded).
-func (st *Store) Apply(muts []Mutation) ([]int, error) {
-	return st.ApplyCtx(context.Background(), muts)
-}
-
-// ApplyCtx is Apply with a request context carrying the trace ID for
-// slow-op attribution (the context is not a cancellation signal: once
-// entered, a batch is applied or aborted whole).
+// ApplyCtx applies a batch of mutations under at most ONE path-copied
+// branch per index side and ONE publish, and returns the object id of each
+// mutation in order (a plane insert of a point already present returns the
+// existing id, still consuming an epoch). It is the store's only write
+// entry. Publication is sublinear in the object count on both sides: the
+// plane branch shares every untouched R-tree node and Voronoi overlay
+// page, and the network branch shares every untouched shortest-path label
+// page, with the snapshot it supersedes — the epoch cost is proportional
+// to the batch's structural footprint, not to the index size. A failed
+// mutation aborts the whole batch without publishing anything; if a plane
+// abort happened after part of the batch already mutated the branch, the
+// next ApplyCtx falls back to a deep Clone, which rebuilds the writer
+// state the abandoned branch shared with the published snapshot (network
+// branches share no writer state, so they are simply discarded).
+//
+// ctx carries the trace ID for slow-op attribution; it is not a
+// cancellation signal: once entered, a batch is applied or aborted whole.
 func (st *Store) ApplyCtx(ctx context.Context, muts []Mutation) ([]int, error) {
 	if len(muts) == 0 {
 		return nil, nil
@@ -622,10 +587,10 @@ func (st *Store) validate(cur *Snapshot, muts []Mutation) error {
 	return nil
 }
 
-// PublishStats returns the number of Apply publications and the cumulative
-// wall time spent inside Apply — branch, mutations and publish. The
-// quotient is the per-epoch publication cost the path-copying publication
-// keeps sublinear in the object count.
+// PublishStats returns the number of ApplyCtx publications and the
+// cumulative wall time spent inside ApplyCtx — branch, mutations and
+// publish. The quotient is the per-epoch publication cost the
+// path-copying publication keeps sublinear in the object count.
 func (st *Store) PublishStats() (publishes uint64, total time.Duration) {
 	return st.publishes.Load(), time.Duration(st.publishNS.Load())
 }

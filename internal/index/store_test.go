@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -44,7 +45,7 @@ func TestStoreIDsMatchSingleThreadedBuild(t *testing.T) {
 	}
 	// Mutations assign the same ids as direct index mutations.
 	p := geom.Pt(123.4, 567.8)
-	id, err := st.Insert(p)
+	id, err := applyOne(st, Mutation{Insert: true, P: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestStoreIDsMatchSingleThreadedBuild(t *testing.T) {
 	if id != refID {
 		t.Fatalf("store id %d, reference id %d", id, refID)
 	}
-	if err := st.Remove(refIDs[0]); err != nil {
+	if _, err := applyOne(st, Mutation{ID: refIDs[0]}); err != nil {
 		t.Fatal(err)
 	}
 	plane := st.Current().Plane()
@@ -79,7 +80,7 @@ func TestStoreSnapshotImmutability(t *testing.T) {
 	before := old.Plane().KNN(q, 5)
 
 	for i := 0; i < 50; i++ {
-		if _, err := st.Insert(geom.Pt(499+float64(i)/100, 500)); err != nil {
+		if _, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(499+float64(i)/100, 500)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,7 +109,7 @@ func TestStorePinAccounting(t *testing.T) {
 		t.Fatalf("initial live snapshots = %d, want 1", got)
 	}
 	s0 := st.Acquire()
-	if _, err := st.Insert(geom.Pt(1, 1)); err != nil {
+	if _, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	// s0 is superseded but pinned; the store pins the current one.
@@ -121,7 +122,7 @@ func TestStorePinAccounting(t *testing.T) {
 	}
 	// Mutations with no lagging readers do not accumulate versions.
 	for i := 0; i < 10; i++ {
-		if _, err := st.Insert(geom.Pt(float64(i)+2, 1)); err != nil {
+		if _, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(float64(i)+2, 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +139,7 @@ func TestStoreApplyBatchPublishesOnce(t *testing.T) {
 		{Insert: true, P: geom.Pt(20, 20)},
 		{Insert: true, P: geom.Pt(30, 30)},
 	}
-	ids, err := st.Apply(muts)
+	ids, err := st.ApplyCtx(context.Background(), muts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestStoreApplyBatchPublishesOnce(t *testing.T) {
 	default:
 	}
 	// A failed batch publishes nothing and consumes no epochs.
-	if _, err := st.Apply([]Mutation{{Insert: true, P: geom.Pt(40, 40)}, {ID: 99999}}); err == nil {
+	if _, err := st.ApplyCtx(context.Background(), []Mutation{{Insert: true, P: geom.Pt(40, 40)}, {ID: 99999}}); err == nil {
 		t.Fatal("batch with unknown removal succeeded")
 	}
 	if st.Epoch() != 3 {
@@ -173,7 +174,7 @@ func TestStoreOpsSince(t *testing.T) {
 	st := newPlaneStore(t, 10, 4)
 	var ids []int
 	for i := 0; i < 3; i++ {
-		id, err := st.Insert(geom.Pt(float64(i)*7+1, 3))
+		id, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(float64(i)*7+1, 3)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,10 +199,10 @@ func TestStoreOpsSince(t *testing.T) {
 		t.Errorf("OpsSince(3,3) = %+v, ok=%v", ops, ok)
 	}
 	// Overflow the 4-deep log: epoch 1 must fall out.
-	if err := st.Remove(ids[0]); err != nil {
+	if _, err := applyOne(st, Mutation{ID: ids[0]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Remove(ids[1]); err != nil {
+	if _, err := applyOne(st, Mutation{ID: ids[1]}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st.OpsSince(0, 5); ok {
@@ -217,7 +218,7 @@ func TestStoreOpsSince(t *testing.T) {
 
 func TestStoreRemoveErrors(t *testing.T) {
 	st := newPlaneStore(t, 5, 0)
-	if err := st.Remove(99999); !errors.Is(err, ErrUnknownObject) {
+	if _, err := applyOne(st, Mutation{ID: 99999}); !errors.Is(err, ErrUnknownObject) {
 		t.Errorf("remove unknown: %v", err)
 	}
 	g, err := roadnet.GridNetwork(4, 4, testBounds, 0, 0, 1)
@@ -228,7 +229,7 @@ func TestStoreRemoveErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := netOnly.Insert(geom.Pt(1, 1)); !errors.Is(err, ErrNoPlane) {
+	if _, err := applyOne(netOnly, Mutation{Insert: true, P: geom.Pt(1, 1)}); !errors.Is(err, ErrNoPlane) {
 		t.Errorf("insert on network-only store: %v", err)
 	}
 	if netOnly.Network() == nil || netOnly.Current().Network() == nil {
@@ -238,7 +239,7 @@ func TestStoreRemoveErrors(t *testing.T) {
 		t.Error("plane backend present on network-only store")
 	}
 	st.Close()
-	if _, err := st.Insert(geom.Pt(2, 2)); !errors.Is(err, ErrClosed) {
+	if _, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(2, 2)}); !errors.Is(err, ErrClosed) {
 		t.Errorf("insert after close: %v", err)
 	}
 	if got := st.LiveSnapshots(); got != 0 {
@@ -284,12 +285,12 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 	var inserted []int
 	for i := 0; i < 60; i++ {
 		if len(inserted) > 10 {
-			if err := st.Remove(inserted[0]); err != nil {
+			if _, err := applyOne(st, Mutation{ID: inserted[0]}); err != nil {
 				t.Error(err)
 			}
 			inserted = inserted[1:]
 		} else {
-			id, err := st.Insert(geom.Pt(float64(i%37)*23+11, float64(i%17)*41+13))
+			id, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(float64(i%37)*23+11, float64(i%17)*41+13)})
 			if err != nil {
 				t.Error(err)
 			} else {
@@ -302,4 +303,14 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 	if got := st.LiveSnapshots(); got != 1 {
 		t.Errorf("live snapshots after readers drained = %d, want 1", got)
 	}
+}
+
+// applyOne applies a single mutation through the store's write entry and
+// returns its id.
+func applyOne(st *Store, m Mutation) (int, error) {
+	ids, err := st.ApplyCtx(context.Background(), []Mutation{m})
+	if err != nil {
+		return -1, err
+	}
+	return ids[0], nil
 }

@@ -43,7 +43,7 @@ const (
 	StageWALAppend
 	// StageFsync is one raw WAL segment flush+fsync.
 	StageFsync
-	// StagePublish is one epoch publication inside index.Store.Apply
+	// StagePublish is one epoch publication inside index.Store.ApplyCtx
 	// (copy-on-write branch + mutations + snapshot swap), net of the
 	// durability append measured separately as StageWALAppend.
 	StagePublish

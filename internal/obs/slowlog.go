@@ -10,7 +10,7 @@ import (
 type Thresholds struct {
 	Batch   time.Duration // one shard batch, mailbox-dequeue to reply
 	Fsync   time.Duration // one WAL fsync or always-policy commit wait
-	Publish time.Duration // one epoch publication in index.Store.Apply
+	Publish time.Duration // one epoch publication in index.Store.ApplyCtx
 }
 
 // slow-op counter indices.

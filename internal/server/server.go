@@ -22,6 +22,7 @@ import (
 	insq "repro"
 	"repro/internal/api"
 	"repro/internal/engine"
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/stream"
 )
@@ -39,10 +40,12 @@ type Options struct {
 	// AccessLog, when non-nil, logs one line per request (method, path,
 	// status, duration, trace).
 	AccessLog *slog.Logger
-	// RequestTimeout bounds each update/object mutation request (and each
-	// coalesced ingest batch): the handler derives a deadline from it so
-	// batches abandoned by their client are dropped at the shard instead
-	// of executed into the void. 0 disables.
+	// RequestTimeout bounds location-update batches — each JSON
+	// /v1/update and /v1/network/update request and each coalesced ingest
+	// group: the handler derives a deadline from it so batch parts still
+	// queued when it passes are dropped at the shard instead of executed
+	// into the void. It does not bound object writes: once entered, a
+	// mutation batch is applied or aborted whole. 0 disables.
 	RequestTimeout time.Duration
 	// StatsTTL caches the merged /v1/stats snapshot: Engine.Stats fans a
 	// message to every shard worker, so a scraper polling at 1s must not
@@ -195,10 +198,10 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/events", s.events)
 	mux.HandleFunc("POST /v1/update", s.updateBatch)
 	mux.HandleFunc("POST /v1/network/update", s.updateNetworkBatch)
-	mux.HandleFunc("POST /v1/objects", s.insertObject)
-	mux.HandleFunc("DELETE /v1/objects/{id}", s.removeObject)
-	mux.HandleFunc("POST /v1/network/objects", s.insertNetworkObject)
-	mux.HandleFunc("DELETE /v1/network/objects/{id}", s.removeNetworkObject)
+	mux.HandleFunc("POST /v1/objects", s.insertObject(false))
+	mux.HandleFunc("DELETE /v1/objects/{id}", s.removeObject(false))
+	mux.HandleFunc("POST /v1/network/objects", s.insertObject(true))
+	mux.HandleFunc("DELETE /v1/network/objects/{id}", s.removeObject(true))
 	mux.HandleFunc("POST /v1/ingest", s.ingestHTTP)
 	mux.HandleFunc("GET /v1/stats", s.stats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -254,8 +257,9 @@ func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("ready\n"))
 }
 
-// reqCtx derives the handler context for one mutation request, applying
-// the server's request timeout when configured.
+// reqCtx derives the context for one location-update batch (a JSON update
+// request or an ingest group), applying the server's request timeout when
+// configured.
 func (s *Server) reqCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.opts.RequestTimeout <= 0 {
 		return ctx, func() {}
@@ -368,54 +372,50 @@ func (s *Server) updateNetworkBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.NewUpdateResponse(results))
 }
 
-func (s *Server) insertNetworkObject(w http.ResponseWriter, r *http.Request) {
-	var req api.NetworkObjectRequest
-	if !s.decode(w, r, &req) {
-		return
+// insertObject serves POST /v1/objects (network=false, body
+// ObjectRequest) and POST /v1/network/objects (network=true, body
+// NetworkObjectRequest). Either way the body becomes one mutation through
+// the engine's single object-write entry; the response carries the
+// assigned plane id or the echoed vertex.
+func (s *Server) insertObject(network bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		m := index.Mutation{Network: network, Insert: true}
+		if network {
+			var req api.NetworkObjectRequest
+			if !s.decode(w, r, &req) {
+				return
+			}
+			m.ID = req.Vertex
+		} else {
+			var req api.ObjectRequest
+			if !s.decode(w, r, &req) {
+				return
+			}
+			m.P = insq.Pt(req.X, req.Y)
+		}
+		ids, err := s.e.ApplyMutations(r.Context(), []index.Mutation{m})
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, api.ObjectResponse{ID: ids[0]})
 	}
-	id, err := s.e.InsertNetworkObjectCtx(r.Context(), req.Vertex)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.ObjectResponse{ID: id})
 }
 
-func (s *Server) removeNetworkObject(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
+// removeObject serves DELETE /v1/objects/{id} and DELETE
+// /v1/network/objects/{id}, where the id is the vertex.
+func (s *Server) removeObject(network bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, ok := pathID(w, r)
+		if !ok {
+			return
+		}
+		if _, err := s.e.ApplyMutations(r.Context(), []index.Mutation{{Network: network, ID: int(id)}}); err != nil {
+			writeError(w, err)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
 	}
-	if err := s.e.RemoveNetworkObjectCtx(r.Context(), int(id)); err != nil {
-		writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) insertObject(w http.ResponseWriter, r *http.Request) {
-	var req api.ObjectRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	id, err := s.e.InsertObjectCtx(r.Context(), insq.Pt(req.X, req.Y))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.ObjectResponse{ID: id})
-}
-
-func (s *Server) removeObject(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
-	}
-	if err := s.e.RemoveObjectCtx(r.Context(), int(id)); err != nil {
-		writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // metrics serves the Prometheus exposition of the pipeline's registry.

@@ -40,10 +40,10 @@ func TestManagerDegradesAndHeals(t *testing.T) {
 	// is mirrored into the reference (failed applies discard the branch,
 	// so ids and epochs stay aligned).
 	insertBoth := func(p geom.Point) error {
-		if _, err := st.Insert(p); err != nil {
+		if _, err := applyOne(st, index.Mutation{Insert: true, P: p}); err != nil {
 			return err
 		}
-		if _, err := ref.Insert(p); err != nil {
+		if _, err := applyOne(ref, index.Mutation{Insert: true, P: p}); err != nil {
 			t.Fatalf("reference insert diverged: %v", err)
 		}
 		return nil
@@ -61,7 +61,7 @@ func TestManagerDegradesAndHeals(t *testing.T) {
 	fault.WALFsyncErr.Arm(fault.Spec{})
 	var lastErr error
 	for i := 0; i < 4 && !mgr.Degraded(); i++ {
-		if _, err := st.Insert(geom.Pt(float64(100+i), 100)); err != nil {
+		if _, err := applyOne(st, index.Mutation{Insert: true, P: geom.Pt(float64(100+i), 100)}); err != nil {
 			lastErr = err
 		} else {
 			t.Fatal("insert succeeded with wal.fsync.err armed")
@@ -75,7 +75,7 @@ func TestManagerDegradesAndHeals(t *testing.T) {
 	}
 
 	// Degraded fail-fast: the append is rejected before touching the log.
-	_, err = st.Insert(geom.Pt(200, 200))
+	_, err = applyOne(st, index.Mutation{Insert: true, P: geom.Pt(200, 200)})
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("degraded insert error = %v, want ErrDegraded", err)
 	}
@@ -146,7 +146,7 @@ func TestDegradedManagerClosesCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.WALFsyncErr.Arm(fault.Spec{})
-	if _, err := mgr.Store().Insert(geom.Pt(1, 1)); err == nil {
+	if _, err := applyOne(mgr.Store(), index.Mutation{Insert: true, P: geom.Pt(1, 1)}); err == nil {
 		t.Fatal("insert succeeded with wal.fsync.err armed")
 	}
 	if !mgr.Degraded() {
@@ -173,12 +173,12 @@ func TestCloseDuringInFlightIntervalFsync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mgr.Store().Insert(geom.Pt(float64(i)+1, 5)); err != nil {
+		if _, err := applyOne(mgr.Store(), index.Mutation{Insert: true, P: geom.Pt(float64(i)+1, 5)}); err != nil {
 			t.Fatal(err)
 		}
 		// Stretch the next background fsync so Close lands mid-flight.
 		fault.WALFsyncDelay.Arm(fault.Spec{Delay: 10 * time.Millisecond})
-		if _, err := mgr.Store().Insert(geom.Pt(float64(i)+1, 6)); err != nil {
+		if _, err := applyOne(mgr.Store(), index.Mutation{Insert: true, P: geom.Pt(float64(i)+1, 6)}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond) // ticker fires, syncer sleeps inside the failpoint

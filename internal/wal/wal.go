@@ -4,7 +4,7 @@
 // rebuilds a store from them.
 //
 // The write path rides the store's existing batch pipeline: every
-// index.Store.Apply batch is encoded (reusing index.Mutation) and
+// index.Store.ApplyCtx batch is encoded (reusing index.Mutation) and
 // appended — with a policy-dependent fsync — after the batch mutated the
 // copy-on-write branch but before the snapshot is published, so no caller
 // ever observes an epoch the log does not cover. Only object churn is
@@ -19,7 +19,7 @@
 // Recovery is deterministic replay: load the newest valid checkpoint,
 // rebuild the store so it answers — and keeps assigning ids — exactly as
 // the instance that wrote it (vortree.Restore burns removed ids), then
-// re-apply the WAL tail through Store.Apply, truncating at the first torn
+// re-apply the WAL tail through Store.ApplyCtx, truncating at the first torn
 // or corrupt frame. The recovered store is byte-for-byte equivalent in
 // every query answer to one that never crashed.
 package wal
@@ -197,7 +197,7 @@ type Manager struct {
 	opts  Options
 	store *index.Store
 	log   *segLog
-	buf   []byte // append-encoding scratch; Apply serializes AppendBatch
+	buf   []byte // append-encoding scratch; ApplyCtx serializes AppendBatch
 
 	appendedBatches atomic.Uint64
 	appendedMuts    atomic.Uint64
@@ -301,7 +301,7 @@ func Open(cfg index.Config, opts Options) (*Manager, error) {
 		if first != cur+1 {
 			return fmt.Errorf("wal: replay gap: record covers epochs %d..%d but the store is at %d", first, last, cur)
 		}
-		if _, aerr := st.Apply(muts); aerr != nil {
+		if _, aerr := st.ApplyCtx(context.Background(), muts); aerr != nil {
 			return fmt.Errorf("wal: replay epoch %d: %w", first, aerr)
 		}
 		m.replayBatches++
@@ -386,7 +386,7 @@ func (m *Manager) registerMetrics(reg *obs.Registry) {
 // logs for. The caller owns its lifecycle; close the manager first.
 func (m *Manager) Store() *index.Store { return m.store }
 
-// AppendBatch implements index.Durability: it runs inside Store.Apply,
+// AppendBatch implements index.Durability: it runs inside Store.ApplyCtx,
 // after the batch mutated the branch and before the snapshot publishes.
 // While the manager is degraded it fail-fasts with ErrDegraded; append
 // failures count toward the degrade threshold (a sticky log error
@@ -479,7 +479,7 @@ func (m *Manager) probeLoop() {
 // degraded mode end; any failure leaves it set for the next tick.
 //
 // Safety: while degraded, AppendBatch fail-fasts (and the engine rejects
-// mutations before Apply), so no append touches the log during the
+// mutations before ApplyCtx), so no append touches the log during the
 // rebuild and the published epoch cannot move under the checkpoint.
 func (m *Manager) tryHeal() {
 	s := m.store.Acquire()

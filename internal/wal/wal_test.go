@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -101,11 +102,11 @@ func (d *driver) note(muts []index.Mutation, ids []int) {
 // in-process reference and asserts both assign identical ids.
 func applyBoth(t *testing.T, d *driver, got, want *index.Store, muts []index.Mutation) {
 	t.Helper()
-	wids, err := want.Apply(muts)
+	wids, err := want.ApplyCtx(context.Background(), muts)
 	if err != nil {
 		t.Fatalf("reference Apply: %v", err)
 	}
-	gids, err := got.Apply(muts)
+	gids, err := got.ApplyCtx(context.Background(), muts)
 	if err != nil {
 		t.Fatalf("managed Apply: %v", err)
 	}
@@ -316,7 +317,7 @@ func TestTornFinalFrame(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		last = d.next()
 		if i < 19 {
-			if _, err := refPrefix.Apply(last); err != nil {
+			if _, err := refPrefix.ApplyCtx(context.Background(), last); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -350,7 +351,7 @@ func TestTornFinalFrame(t *testing.T) {
 	}
 	// The torn batch can be re-submitted and lands on the same ids the
 	// uncrashed reference assigned.
-	gids, err := mgr2.Store().Apply(last)
+	gids, err := mgr2.Store().ApplyCtx(context.Background(), last)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,4 +454,14 @@ func TestOpenRejectsMismatchedDir(t *testing.T) {
 	if _, err := Open(cfg, Options{}); err == nil {
 		t.Fatal("Open accepted an empty Dir")
 	}
+}
+
+// applyOne applies a single mutation through the store's write entry and
+// returns its id.
+func applyOne(st *index.Store, m index.Mutation) (int, error) {
+	ids, err := st.ApplyCtx(context.Background(), []index.Mutation{m})
+	if err != nil {
+		return -1, err
+	}
+	return ids[0], nil
 }
