@@ -146,3 +146,84 @@ func TestBranchConcurrentReaders(t *testing.T) {
 	checkDelaunay(t, head)
 	checkAdjacency(t, head)
 }
+
+// TestBranchAbandoned drops a mutated branch unpublished — the store's
+// path for an aborted batch — and asserts a fresh branch of the same
+// parent starts from exactly the parent's state: no point, duplicate
+// entry or recycled face slot of the abandoned branch survives.
+func TestBranchAbandoned(t *testing.T) {
+	parent := New(testBounds)
+	if _, err := parent.InsertAll(randomPoints(400, 23)); err != nil {
+		t.Fatal(err)
+	}
+	// Removals leave recycled face slots on the parent's free list.
+	for id := 0; id < 10; id++ {
+		if err := parent.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := neighborSnapshot(t, parent)
+	next := parent.IDUpperBound()
+	q := geom.Pt(500.25, 499.75)
+
+	// Readers keep using the parent, as sessions keep reading the
+	// published snapshot while a batch branches, aborts and retries.
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			ids := parent.VertexIDs()
+			var sc RingScratch
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := parent.AppendNeighbors(ids[rng.Intn(len(ids))], nil, &sc); err != nil {
+					t.Errorf("parent Neighbors: %v", err)
+					return
+				}
+				parent.Nearest(geom.Pt(rng.Float64()*1000, rng.Float64()*1000))
+			}
+		}(int64(g))
+	}
+
+	abandoned := parent.Branch()
+	if id, err := abandoned.Insert(q); err != nil || id != next {
+		t.Fatalf("insert on abandoned branch: id %d, err %v; want %d", id, err, next)
+	}
+	if err := abandoned.Remove(100); err != nil {
+		t.Fatal(err)
+	}
+
+	b := parent.Branch()
+	if got := neighborSnapshot(t, b); !sameNeighbors(want, got) {
+		t.Fatal("fresh branch differs from its parent after an abandoned sibling")
+	}
+	if id, err := b.Insert(q); err != nil || id != next {
+		t.Fatalf("insert %v: id %d, err %v; want id %d (the abandoned insert's id)", q, id, err, next)
+	}
+	if id, err := b.Insert(parent.Point(100)); !errors.Is(err, ErrDuplicate) || id != 100 {
+		t.Fatalf("re-insert live vertex 100: id %d, err %v; want 100, ErrDuplicate", id, err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 60; i++ {
+		live := b.VertexIDs()
+		if err := b.Remove(live[rng.Intn(len(live))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkDelaunay(t, b)
+	checkAdjacency(t, b)
+	if got := neighborSnapshot(t, parent); !sameNeighbors(want, got) {
+		t.Fatal("parent changed under its branches")
+	}
+}

@@ -17,8 +17,9 @@
 // new mutable version in O(n/pageSize) that shares every untouched page
 // with the (now frozen) receiver, and a mutation repairs only the handful
 // of pages holding the faces it rewrites. The copy-on-write index snapshot
-// store publishes one branch per data-update epoch; Clone remains as the
-// deep fallback that shares nothing.
+// store publishes one branch per data-update epoch and simply drops a
+// branch whose batch aborts: a branch owns all of its writer state, so an
+// abandoned one leaves no trace in the version it came from.
 package delaunay
 
 import (
@@ -38,8 +39,7 @@ var ErrOutOfBounds = errors.New("delaunay: point outside triangulation bounds")
 var ErrDuplicate = errors.New("delaunay: duplicate point")
 
 // ErrFrozen is returned by mutations on a version that has been branched
-// from: only the newest version of a branch chain accepts writes, which is
-// what keeps the shared writer state (duplicate index, free list) coherent.
+// from: a published version never changes, so only a branch accepts writes.
 var ErrFrozen = errors.New("delaunay: triangulation frozen by Branch")
 
 // noTri marks a missing triangle neighbor (boundary of the super-triangle).
@@ -59,24 +59,22 @@ type triangle struct {
 // Triangulation is an incremental Delaunay triangulation. The zero value is
 // not usable; call New.
 //
-// Version state is split three ways. The face table (tris) and the
-// vertex-face hints (vface) are paged copy-on-write and diverge per
-// version. The vertex coordinates (pts) are append-only and shared by every
-// version — ids are never recycled, and only the newest version appends.
-// The duplicate-detection map (index) and the face free list (free) are
-// writer state: they ride along the branch chain and are only meaningful at
-// the newest version, which is the only one allowed to mutate.
+// Version state is split two ways. The face table (tris) and the
+// vertex-face hints (vface) are paged copy-on-write, and the face free list
+// (free) is copied by Branch, so all three belong to one version. The
+// vertex coordinates (pts) are append-only and shared with the version's
+// ancestors — ids are never recycled, and a version never reads past its
+// own length, so a branch's appends are invisible to its parent.
 type Triangulation struct {
-	pts    []geom.Point       // vertex 0..2 are the super-triangle corners
-	tris   paged[triangle]    // faces, including dead (recycled) slots
-	vface  paged[int32]       // some live face incident to each vertex; noTri = removed
-	free   []int32            // writer-only: recycled face slots
-	index  map[geom.Point]int // writer-only: point -> vertex id
-	bounds geom.Rect          // accepted insertion region
-	walk   atomic.Int32       // recently touched face: walk start hint
-	nLive  int                // number of live (non-deleted) input vertices
-	own    *pageOwner         // this version's page-ownership token
-	frozen atomic.Bool        // set by Branch; mutations are rejected
+	pts    []geom.Point    // vertex 0..2 are the super-triangle corners
+	tris   paged[triangle] // faces, including dead (recycled) slots
+	vface  paged[int32]    // some live face incident to each vertex; noTri = removed
+	free   []int32         // recycled face slots
+	bounds geom.Rect       // accepted insertion region
+	walk   atomic.Int32    // recently touched face: walk start hint
+	nLive  int             // number of live (non-deleted) input vertices
+	own    *pageOwner      // this version's page-ownership token
+	frozen atomic.Bool     // set by Branch; mutations are rejected
 }
 
 // New returns an empty triangulation accepting points inside bounds. The
@@ -95,7 +93,6 @@ func New(bounds geom.Rect) *Triangulation {
 			{X: c.X + 3*m, Y: c.Y - m},
 			{X: c.X, Y: c.Y + 3*m},
 		},
-		index:  make(map[geom.Point]int),
 		bounds: bounds,
 		own:    new(pageOwner),
 	}
@@ -109,16 +106,19 @@ func New(bounds geom.Rect) *Triangulation {
 // Branch returns a new mutable version of the triangulation and freezes the
 // receiver: further reads of the receiver stay valid (and race-free against
 // mutations of the branch), but its own Insert/Remove return ErrFrozen.
-// The cost is two page-directory copies — O(n/pageSize), not O(n); the
-// branch shares every page with the receiver until it writes it.
+// The cost is two page-directory copies plus the free list — O(n/pageSize),
+// not O(n); the branch shares every page with the receiver until it writes
+// it. A branch that is dropped unpublished needs no cleanup, and branching
+// the receiver again starts from exactly its state. Only the newest branch
+// of a version may be used, since sibling branches append their points at
+// the same positions of the shared coordinate array.
 func (t *Triangulation) Branch() *Triangulation {
 	t.frozen.Store(true)
 	c := &Triangulation{
 		pts:    t.pts,
 		tris:   t.tris.branch(),
 		vface:  t.vface.branch(),
-		free:   t.free,
-		index:  t.index,
+		free:   append([]int32(nil), t.free...),
 		bounds: t.bounds,
 		nLive:  t.nLive,
 		own:    new(pageOwner),
@@ -166,23 +166,25 @@ func (t *Triangulation) Insert(p geom.Point) (int, error) {
 	if !t.bounds.Contains(p) {
 		return -1, fmt.Errorf("%w: %v not in %v", ErrOutOfBounds, p, t.bounds)
 	}
-	if id, ok := t.index[p]; ok {
-		return id, ErrDuplicate
+	// An exact duplicate of a live vertex lies only in the closed faces
+	// incident to it, so the located face is the one place to look.
+	ti, onEdge := t.locate(p)
+	for _, v := range t.tri(ti).v {
+		if t.pts[v] == p {
+			return int(v) - 3, ErrDuplicate
+		}
 	}
 	vi := int32(len(t.pts))
 	t.pts = append(t.pts, p)
 	t.vface.append(noTri, t.own)
-	id := int(vi) - 3
-	t.index[p] = id
 	t.nLive++
 
-	ti, onEdge := t.locate(p)
 	if onEdge >= 0 {
 		t.insertOnEdge(ti, onEdge, vi)
 	} else {
 		t.insertInFace(ti, vi)
 	}
-	return id, nil
+	return int(vi) - 3, nil
 }
 
 // PadVertex appends one dead vertex slot without touching the
@@ -304,16 +306,18 @@ func (t *Triangulation) killTri(id int32) {
 	t.free = append(t.free, id)
 }
 
-// replaceNeighbor updates face f (if any) so that its pointer to old points
-// to new instead.
-func (t *Triangulation) replaceNeighbor(f, old, new int32) {
+// relink points the directed edge (a, b) of face f (if any) at face g. It
+// finds the edge by its vertices, not by the old neighbor id: a face that
+// bordered two killed faces holds both ids, and a new face may already
+// have recycled one of them.
+func (t *Triangulation) relink(f, a, b, g int32) {
 	if f == noTri {
 		return
 	}
 	tr := t.triMut(f)
 	for i := 0; i < 3; i++ {
-		if tr.n[i] == old {
-			tr.n[i] = new
+		if tr.v[i] == a && tr.v[(i+1)%3] == b {
+			tr.n[i] = g
 			return
 		}
 	}
@@ -334,9 +338,9 @@ func (t *Triangulation) insertInFace(ti, p int32) {
 	f0.n[1], f0.n[2] = t1, t2
 	f1.n[1], f1.n[2] = t2, t0
 	f2.n[1], f2.n[2] = t0, t1
-	t.replaceNeighbor(na, ti, t0)
-	t.replaceNeighbor(nb, ti, t1)
-	t.replaceNeighbor(nc, ti, t2)
+	t.relink(na, b, a, t0)
+	t.relink(nb, c, b, t1)
+	t.relink(nc, a, c, t2)
 	t.walk.Store(t0)
 
 	t.legalize(t0, 0, p)
@@ -359,8 +363,8 @@ func (t *Triangulation) insertOnEdge(ti int32, e int, p int32) {
 		t1 := t.newTri(p, w, c, noTri, nwc, noTri)
 		t.triMut(t0).n[1] = t1
 		t.triMut(t1).n[2] = t0
-		t.replaceNeighbor(nwc, ti, t1)
-		t.replaceNeighbor(ncu, ti, t0)
+		t.relink(nwc, c, w, t1)
+		t.relink(ncu, u, c, t0)
 		t.walk.Store(t0)
 		t.legalize(t0, 2, p)
 		t.legalize(t1, 1, p)
@@ -394,10 +398,10 @@ func (t *Triangulation) insertOnEdge(ti int32, e int, p int32) {
 	f1.n[0], f1.n[2] = t2, t0
 	f2.n[0], f2.n[1] = t1, t3
 	f3.n[0], f3.n[2] = t0, t2
-	t.replaceNeighbor(ncu, ti, t0)
-	t.replaceNeighbor(nwc, ti, t1)
-	t.replaceNeighbor(ndw, o, t2)
-	t.replaceNeighbor(nud, o, t3)
+	t.relink(ncu, u, c, t0)
+	t.relink(nwc, c, w, t1)
+	t.relink(ndw, w, d, t2)
+	t.relink(nud, d, u, t3)
 	t.walk.Store(t0)
 
 	t.legalize(t0, 2, p)
@@ -444,8 +448,8 @@ func (t *Triangulation) legalize(f int32, e int, p int32) {
 	t.setVface(d, f)
 	t.setVface(c, f)
 	t.setVface(b, o)
-	t.replaceNeighbor(nbc, f, o)
-	t.replaceNeighbor(nad, o, f)
+	t.relink(nbc, c, b, o)
+	t.relink(nad, d, a, f)
 
 	// The new edges opposite p must be re-checked. p is c in both faces.
 	t.legalize(f, 0, p)

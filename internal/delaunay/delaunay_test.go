@@ -96,21 +96,72 @@ func TestInsertBasicTriangle(t *testing.T) {
 	}
 }
 
+// TestInsertDuplicate re-inserts an existing point. Duplicates are found
+// through the face the point locates to, so the table covers the
+// degenerate places a vertex can sit: the convex hull, a corner of the
+// bounds, a fully collinear row and a cocircular grid, plus a removed
+// point (a fresh id, not a duplicate) and a duplicate on a branch.
 func TestInsertDuplicate(t *testing.T) {
-	tr := New(testBounds)
-	id1, err := tr.Insert(geom.Pt(10, 10))
-	if err != nil {
-		t.Fatal(err)
+	hull := []geom.Point{geom.Pt(100, 100), geom.Pt(900, 100), geom.Pt(900, 900), geom.Pt(100, 900)}
+	for _, p := range randomPoints(40, 8) {
+		hull = append(hull, geom.Pt(200+0.6*p.X, 200+0.6*p.Y))
 	}
-	id2, err := tr.Insert(geom.Pt(10, 10))
-	if !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("expected ErrDuplicate, got %v", err)
+	corners := []geom.Point{geom.Pt(0, 0), geom.Pt(1000, 0), geom.Pt(1000, 1000), geom.Pt(0, 1000), geom.Pt(500, 500)}
+	var row, grid []geom.Point
+	for i := 1; i <= 9; i++ {
+		row = append(row, geom.Pt(float64(i)*100, 500))
+		for j := 1; j <= 9; j++ {
+			grid = append(grid, geom.Pt(float64(i)*100, float64(j)*100))
+		}
 	}
-	if id1 != id2 {
-		t.Errorf("duplicate insert returned id %d, want %d", id2, id1)
+	cases := []struct {
+		name   string
+		pts    []geom.Point
+		dup    int  // index of the re-inserted point (its id)
+		remove bool // remove it first: the re-insert must get a fresh id
+		branch bool // re-insert on a branch of the built triangulation
+	}{
+		{name: "single vertex", pts: []geom.Point{geom.Pt(10, 10)}},
+		{name: "convex hull vertex", pts: hull, dup: 1},
+		{name: "bounds corner", pts: corners, dup: 2},
+		{name: "collinear row", pts: row, dup: 4},
+		{name: "collinear grid row", pts: grid, dup: 40},
+		{name: "removed then reinserted", pts: randomPoints(50, 21), dup: 7, remove: true},
+		{name: "on a branch", pts: randomPoints(50, 21), dup: 7, branch: true},
 	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d, want 1", tr.Len())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := New(testBounds)
+			ids, err := tr.InsertAll(tc.pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ids[tc.dup] != tc.dup {
+				t.Fatalf("setup: point %d got id %d", tc.dup, ids[tc.dup])
+			}
+			if tc.remove {
+				if err := tr.Remove(tc.dup); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.branch {
+				tr = tr.Branch()
+			}
+			n, next := tr.Len(), tr.IDUpperBound()
+			id, err := tr.Insert(tc.pts[tc.dup])
+			switch {
+			case tc.remove:
+				if err != nil || id != next || tr.Len() != n+1 {
+					t.Fatalf("re-insert after remove: id %d, err %v, Len %d; want fresh id %d, nil, Len %d", id, err, tr.Len(), next, n+1)
+				}
+			case !errors.Is(err, ErrDuplicate) || id != tc.dup:
+				t.Fatalf("duplicate insert: id %d, err %v; want id %d, ErrDuplicate", id, err, tc.dup)
+			case tr.Len() != n || tr.IDUpperBound() != next:
+				t.Fatalf("duplicate insert changed the triangulation: Len %d->%d, next id %d->%d", n, tr.Len(), next, tr.IDUpperBound())
+			}
+			checkAdjacency(t, tr)
+			checkDelaunay(t, tr)
+		})
 	}
 }
 
@@ -376,4 +427,46 @@ func BenchmarkNeighbors(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestDuplicateLatticeDifferential churns a small integer lattice — every
+// insert is likely a duplicate, and the live set is full of collinear and
+// cocircular points — and checks each Insert's duplicate verdict against a
+// point-to-id map.
+func TestDuplicateLatticeDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	tr := New(testBounds)
+	live := make(map[geom.Point]int)
+	for step := 0; step < 3000; step++ {
+		p := geom.Pt(float64(rng.Intn(11))*100, float64(rng.Intn(11))*100)
+		if rng.Intn(3) == 0 && len(live) > 0 {
+			if id, ok := live[p]; ok {
+				if err := tr.Remove(id); err != nil {
+					t.Fatalf("step %d: remove %d: %v", step, id, err)
+				}
+				delete(live, p)
+			}
+			continue
+		}
+		next := tr.IDUpperBound()
+		id, err := tr.Insert(p)
+		if want, ok := live[p]; ok {
+			if !errors.Is(err, ErrDuplicate) || id != want {
+				t.Fatalf("step %d: insert %v: id %d, err %v; want duplicate of %d", step, p, id, err, want)
+			}
+			continue
+		}
+		if err != nil || id != next {
+			t.Fatalf("step %d: insert %v: id %d, err %v; want fresh id %d", step, p, id, err, next)
+		}
+		live[p] = id
+		if step%500 == 0 {
+			tr = tr.Branch()
+		}
+	}
+	if tr.Len() != len(live) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(live))
+	}
+	checkAdjacency(t, tr)
+	checkDelaunay(t, tr)
 }

@@ -183,28 +183,14 @@ func (t *Triangulation) Remove(id int) error {
 	link := func(f int32, ei int, a, b int32) {
 		if of, ok := outer[edge{a, b}]; ok {
 			t.triMut(f).n[ei] = of
-			if of != noTri {
-				// The outer face's pointer still references a killed face;
-				// repoint it at f.
-				otr := t.triMut(of)
-				for k := 0; k < 3; k++ {
-					if otr.v[k] == b && otr.v[(k+1)%3] == a {
-						otr.n[k] = f
-						break
-					}
-				}
-			}
+			// The outer face's pointer still references a killed face;
+			// repoint it at f.
+			t.relink(of, b, a, f)
 			return
 		}
 		if tf, ok := halfEdges[edge{b, a}]; ok {
 			t.triMut(f).n[ei] = tf
-			ttr := t.triMut(tf)
-			for k := 0; k < 3; k++ {
-				if ttr.v[k] == b && ttr.v[(k+1)%3] == a {
-					ttr.n[k] = f
-					break
-				}
-			}
+			t.relink(tf, b, a, f)
 			return
 		}
 		halfEdges[edge{a, b}] = f
@@ -265,7 +251,6 @@ func (t *Triangulation) Remove(id int) error {
 	}
 	emit(poly[0], poly[1], poly[2])
 
-	delete(t.index, t.pts[vi])
 	t.nLive--
 	t.setVface(vi, noTri)
 	return nil

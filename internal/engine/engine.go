@@ -64,7 +64,7 @@ var (
 	// ErrOutOfBounds is returned when inserting an object outside the
 	// configured data space — a plane point outside the bounds or a
 	// network vertex id outside the graph — a caller-input error, rejected
-	// before the update reaches the store.
+	// by the store's batch validation before any index is branched.
 	ErrOutOfBounds = errors.New("engine: point outside the data space")
 	// ErrSiteExists is returned when inserting a network data object at a
 	// vertex that already carries one.
@@ -251,7 +251,6 @@ type Engine struct {
 	shards    []*shard
 	start     time.Time
 	hasPlane  bool
-	bounds    geom.Rect     // plane data space (meaningful when hasPlane)
 	obs       *obs.Pipeline // nil when observability is off
 	shedDepth int           // admission-control watermark; 0 disables
 
@@ -323,7 +322,6 @@ func New(cfg Config) (*Engine, error) {
 		shards:    make([]*shard, cfg.Shards),
 		start:     time.Now(),
 		hasPlane:  st.HasPlane(),
-		bounds:    st.Bounds(),
 		obs:       cfg.Obs,
 		shedDepth: cfg.ShedDepth,
 	}
@@ -698,13 +696,6 @@ func (e *Engine) ApplyMutations(ctx context.Context, muts []index.Mutation) ([]i
 	}
 	if e.degraded() {
 		return nil, ErrDegraded
-	}
-	// Reject bad input before it reaches the store (and after the closed
-	// check, so a closed engine always reports ErrClosed).
-	for _, m := range muts {
-		if !m.Network && m.Insert && e.hasPlane && !e.bounds.Contains(m.P) {
-			return nil, fmt.Errorf("%w: %v not in [%v, %v]", ErrOutOfBounds, m.P, e.bounds.Min, e.bounds.Max)
-		}
 	}
 	ids, err := e.store.ApplyCtx(ctx, muts)
 	if err != nil {

@@ -375,16 +375,21 @@ func TestStreamDeltaChainSurvivesRefreshError(t *testing.T) {
 		return len(evs) > 0 && len(evs[len(evs)-1].KNN) == 0
 	})
 
-	// Recovery: two inserts restore k-satisfiability; the recompute's
-	// delta must build the new view from the published empty baseline.
+	// Recovery: the first insert already restores k-satisfiability (5
+	// objects for k=5), and the second one lands nearer still, so it
+	// enters the view as well. The recompute's delta must build the new
+	// view from the published empty baseline. Wait for the sweep of the
+	// last insert's epoch: the first insert's recovery alone would end the
+	// chain one event early.
 	if _, err := applyOne(e, index.Mutation{Insert: true, P: geom.Pt(50.5, 50.5)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := applyOne(e, index.Mutation{Insert: true, P: geom.Pt(49.5, 49.5)}); err != nil {
 		t.Fatal(err)
 	}
+	last := e.store.Epoch()
 	evs := waitFor("recovered kNN", func(evs []stream.Event) bool {
-		return len(evs) > 0 && len(evs[len(evs)-1].KNN) == 5
+		return len(evs) > 0 && evs[len(evs)-1].Epoch == last && len(evs[len(evs)-1].KNN) == 5
 	})
 
 	// The whole chain — snapshot baseline, stale notice, recovery — must

@@ -1,7 +1,11 @@
 package index
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -84,42 +88,112 @@ func TestPublishSharesStructure(t *testing.T) {
 	}
 }
 
-// TestApplyPoisonFallback forces the deep-clone fallback and asserts the
-// store keeps serving correct answers through it.
-func TestApplyPoisonFallback(t *testing.T) {
-	st, err := NewStore(Config{Bounds: benchBounds, Objects: workload.Uniform(1000, benchBounds, 11)})
+// failingDurability rejects every append, as a dead or degraded WAL does.
+type failingDurability struct{}
+
+func (failingDurability) AppendBatch(context.Context, uint64, []Mutation) error {
+	return errors.New("disk full")
+}
+
+// TestApplyAbortDiscardsBranch aborts a mixed batch the way production
+// does — the WAL append fails after both branches were mutated — and
+// asserts the store serves the previous snapshot unchanged and keeps
+// publishing by path copying, with the same ids the aborted batch would
+// have assigned (which WAL replay relies on).
+func TestApplyAbortDiscardsBranch(t *testing.T) {
+	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000))
+	g, err := workload.Network(8, bounds, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites, err := workload.NetworkSites(g, 6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStore(Config{
+		Bounds:       bounds,
+		Objects:      workload.Uniform(1000, bounds, 11),
+		Network:      g,
+		NetworkSites: sites,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(10, 10)}); err != nil {
-		t.Fatal(err)
+	// Removals leave recycled face slots in the Delaunay free list, so the
+	// aborted batch below pops and pushes them.
+	for id := 0; id < 5; id++ {
+		if _, err := applyOne(st, Mutation{ID: id}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Simulate an aborted mid-batch mutation (unreachable through the
-	// pre-validated public API, by design).
-	st.mu.Lock()
-	st.poisoned = true
-	st.mu.Unlock()
+	before := st.Acquire()
+	defer before.Release()
+	liveBefore, nextID := before.PlaneObjects()
+	sitesBefore := before.NetworkSites()
+	epoch := st.Epoch()
+	q := geom.Pt(500.5, 499.5)
+	v := firstFree(st, g)
 
-	id, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(20, 20)})
+	st.SetDurability(failingDurability{})
+	_, err = st.ApplyCtx(context.Background(), []Mutation{
+		{Insert: true, P: q},
+		{ID: 100},
+		{Network: true, Insert: true, ID: v},
+	})
+	if !errors.Is(err, ErrDurability) {
+		t.Fatalf("aborted batch: err = %v, want ErrDurability", err)
+	}
+	if st.Epoch() != epoch || st.Current() != before {
+		t.Fatalf("aborted batch published: epoch %d -> %d", epoch, st.Epoch())
+	}
+	st.SetDurability(nil)
+	snap := st.Acquire()
+	live, next := snap.PlaneObjects()
+	if !reflect.DeepEqual(live, liveBefore) || next != nextID || !reflect.DeepEqual(snap.NetworkSites(), sitesBefore) {
+		t.Fatal("aborted batch changed the live set")
+	}
+	snap.Release()
+
+	id, err := applyOne(st, Mutation{Insert: true, P: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := st.Acquire()
-	defer snap.Release()
-	if !snap.Plane().Contains(id) {
-		t.Fatal("object inserted through the fallback path is not live")
-	}
-	if got := snap.Plane().KNN(geom.Pt(20, 20), 1); len(got) != 1 || got[0] != id {
-		t.Fatalf("KNN after fallback = %v, want [%d]", got, id)
-	}
-	// And the next epoch goes back to path copying.
-	if _, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(30, 30)}); err != nil {
-		t.Fatal(err)
+	if id != nextID {
+		t.Fatalf("insert after abort got id %d, want %d (the aborted insert's id)", id, nextID)
 	}
 	copied, total := st.PlaneShareStats()
 	if frac := float64(copied) / float64(total); frac > 0.25 {
-		t.Fatalf("post-fallback epoch copied %.0f%% of the index", 100*frac)
+		t.Fatalf("epoch after the abort copied %.0f%% of the index (%d/%d); want path copying", 100*frac, copied, total)
+	}
+	// Object 100 is still live, so re-inserting its point is a duplicate.
+	if dup, err := applyOne(st, Mutation{Insert: true, P: before.Plane().Point(100)}); err != nil || dup != 100 {
+		t.Fatalf("re-insert live object 100: id %d, err %v", dup, err)
+	}
+	// More removals make the next branches pop and push recycled face
+	// slots.
+	const removed = 40
+	for _, o := range liveBefore[:removed] {
+		if _, err := applyOne(st, Mutation{ID: o.ID}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	snap = st.Acquire()
+	defer snap.Release()
+	live, _ = snap.PlaneObjects()
+	if want := len(liveBefore) - removed + 1; len(live) != want || !snap.Plane().Contains(id) || snap.Plane().Point(id) != q {
+		t.Fatalf("live set after the abort: %d objects, want %d with %d at %v", len(live), want, id, q)
+	}
+	for _, p := range []geom.Point{q, geom.Pt(10, 10), geom.Pt(990, 20), before.Plane().Point(100)} {
+		const k = 8
+		sort.Slice(live, func(i, j int) bool { return live[i].P.Dist2(p) < live[j].P.Dist2(p) })
+		got := snap.Plane().KNN(p, k)
+		for i, o := range live[:k] {
+			if snap.Plane().Point(got[i]).Dist2(p) != o.P.Dist2(p) {
+				t.Fatalf("KNN(%v) = %v, brute force rank %d is %d", p, got, i, o.ID)
+			}
+		}
 	}
 }

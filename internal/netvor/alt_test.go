@@ -88,7 +88,7 @@ func TestALTKNNMatchesOracleRandom(t *testing.T) {
 
 // TestALTKNNDisconnectedAndZeroWeight pins the two adversarial graph
 // shapes the dense/ALT machinery must not trip over: components no
-// landmark subset can see across (Inf distances must prune, not poison,
+// landmark subset can see across (Inf distances must prune, not corrupt,
 // the bound) and zero-weight edges (equal-key pops must still settle in
 // oracle order).
 func TestALTKNNDisconnectedAndZeroWeight(t *testing.T) {

@@ -187,3 +187,42 @@ func TestCloneIsConstantTime(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloneAbandonedBranch mutates one clone, drops it, and clones the
+// same tree again — the index store's path for an aborted batch. The
+// second clone must start from the original's exact state.
+func TestCloneAbandonedBranch(t *testing.T) {
+	tr := New(16)
+	items := make(map[int]geom.Point)
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 2000; i++ {
+		items[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		tr.Insert(Item{ID: i, P: items[i]})
+	}
+	probes := []geom.Point{geom.Pt(500, 500), geom.Pt(3, 997), geom.Pt(999, 1)}
+
+	abandoned := tr.Clone()
+	for i := 0; i < 300; i++ {
+		abandoned.Delete(i, items[i])
+		abandoned.Insert(Item{ID: 2000 + i, P: geom.Pt(rng.Float64()*1000, rng.Float64()*1000)})
+	}
+
+	b := tr.Clone()
+	ref := buildReference(items, 16)
+	for _, q := range probes {
+		if got, want := knnIDs(b, q, 10), knnIDs(ref, q, 10); !sameIDs(got, want) {
+			t.Fatalf("fresh clone kNN(%v) = %v, want %v", q, got, want)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		if !b.Delete(i, items[i]) {
+			t.Fatalf("item %d, live in the original, missing from the fresh clone", i)
+		}
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

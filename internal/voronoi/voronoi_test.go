@@ -439,3 +439,29 @@ func BenchmarkOrderKCell(b *testing.B) {
 		}
 	}
 }
+
+// TestBranchFreezesParent: a branch mutates while its parent, now frozen,
+// rejects writes and keeps answering from its own sites.
+func TestBranchFreezesParent(t *testing.T) {
+	parent, _ := buildRandom(t, 200, 21)
+	q := geom.Pt(400, 600)
+	want := parent.KNN(q, 5)
+	b := parent.Branch()
+	if _, err := parent.Insert(geom.Pt(1, 1)); err == nil {
+		t.Fatal("insert on a frozen parent succeeded")
+	}
+	if _, err := b.Insert(q); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range want[:2] {
+		if err := b.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := parent.KNN(q, 5); !sameIDSet(got, want) || !sameIDSet(got, bruteKNN(parent, q, 5)) {
+		t.Fatalf("parent KNN after branch mutations = %v, want %v", got, want)
+	}
+	if got, want := b.KNN(q, 5), bruteKNN(b, q, 5); !sameIDSet(got, want) {
+		t.Fatalf("branch KNN = %v, brute force %v", got, want)
+	}
+}

@@ -100,21 +100,14 @@ func (ix *Index) Diagram() *voronoi.Diagram { return ix.diag }
 // Index methods).
 func (ix *Index) Tree() *rtree.Tree { return ix.tree }
 
-// Clone returns a deep copy of the VoR-tree with the same object ids and a
-// zeroed node-visit counter. The R-tree side is persistent, so only the
-// Voronoi overlay is physically copied; Clone is the fallback publication
-// path where the overlay's structural sharing is unsafe (see Branch).
-func (ix *Index) Clone() *Index {
-	return &Index{tree: ix.tree.Clone(), diag: ix.diag.Clone()}
-}
-
 // Branch returns a new mutable version of the VoR-tree by path copying:
 // the R-tree hands out an O(1) persistent handle (mutations then copy only
 // the root-to-leaf spines they touch) and the Voronoi overlay branches its
 // copy-on-write page tables in O(n/pageSize). The receiver is frozen —
 // reads on it stay valid and race-free forever, mutations are rejected —
 // which is exactly the lifecycle of a published index snapshot. Publication
-// cost is therefore sublinear in the object count, where Clone is O(n).
+// cost is therefore sublinear in the object count. The branch owns all of
+// its writer state, so a branch whose batch aborts is simply dropped.
 func (ix *Index) Branch() *Index {
 	return &Index{tree: ix.tree.Clone(), diag: ix.diag.Branch()}
 }

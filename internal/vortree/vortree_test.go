@@ -170,3 +170,56 @@ func BenchmarkVorKNN10k(b *testing.B) {
 		ix.KNN(qs[i%len(qs)], 8)
 	}
 }
+
+// TestBranchAbandoned drops a mutated branch — R-tree handle and Voronoi
+// overlay alike — and asserts a fresh branch of the same parent answers
+// exactly like the parent and assigns the ids the dropped branch did.
+func TestBranchAbandoned(t *testing.T) {
+	parent, _, err := Build(testBounds, 16, randomPoints(500, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 10; id++ {
+		if err := parent.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, next := geom.Pt(500.5, 499.5), parent.NextID()
+	probes := []geom.Point{q, geom.Pt(5, 5), geom.Pt(990, 400), parent.Point(30)}
+
+	abandoned := parent.Branch()
+	if id, err := abandoned.Insert(q); err != nil || id != next {
+		t.Fatalf("insert on abandoned branch: id %d, err %v; want %d", id, err, next)
+	}
+	for id := 10; id < 60; id++ {
+		if err := abandoned.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	b := parent.Branch()
+	for _, p := range probes {
+		if got, want := b.KNN(p, 8), bruteKNN(parent, p, 8); !sameIDSet(got, want) {
+			t.Fatalf("fresh branch KNN(%v) = %v, parent brute force %v", p, got, want)
+		}
+	}
+	if id, err := b.Insert(q); err != nil || id != next {
+		t.Fatalf("insert on fresh branch: id %d, err %v; want %d", id, err, next)
+	}
+	for id := 10; id < 60; id++ {
+		if err := b.Remove(id); err != nil {
+			t.Fatalf("remove %d, live in the parent: %v", id, err)
+		}
+	}
+	for _, p := range probes {
+		if got, want := b.KNN(p, 8), bruteKNN(b, p, 8); !sameIDSet(got, want) {
+			t.Fatalf("KNN(%v) = %v, brute force %v", p, got, want)
+		}
+	}
+	if err := b.Tree().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.Tree().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
