@@ -88,12 +88,14 @@ func main() {
 		slowBatch   = flag.Duration("slow-batch", 50*time.Millisecond, "slow-op log threshold for one shard batch (0 = off)")
 		slowFsync   = flag.Duration("slow-fsync", 20*time.Millisecond, "slow-op log threshold for one WAL fsync (0 = off)")
 		slowPublish = flag.Duration("slow-publish", 20*time.Millisecond, "slow-op log threshold for one epoch publication (0 = off)")
-		statsTTL    = flag.Duration("stats-ttl", 500*time.Millisecond, "cache the merged /v1/stats snapshot this long so scrapers don't perturb shard workers (0 = no cache)")
 		reqTimeout  = flag.Duration("request-timeout", 5*time.Second, "deadline for each location-update batch (JSON update request or ingest group); parts still queued when it passes are dropped at the shard, while object writes are applied or aborted whole (0 = no deadline)")
 		faultSpec   = flag.String("fault", "", "chaos testing: arm failpoints, e.g. 'wal.fsync.err=err,count:10;store.publish.delay=delay:5ms' (also via INSQ_FAULT; empty = all disarmed)")
 		ingestAddr  = flag.String("ingest-addr", "", "additionally serve the binary ingest protocol on this raw TCP address, bypassing HTTP (empty = HTTP /v1/ingest only)")
 		coalesce    = flag.Duration("coalesce-window", time.Millisecond, "merge ingest frames arriving within this window into one engine batch (0 = apply frames individually)")
 	)
+	// -stats-ttl sized a /v1/stats cache that no longer exists; it still
+	// parses so existing command lines (insqbench passes -stats-ttl 0) run.
+	flag.Duration("stats-ttl", 0, "ignored: /v1/stats reads the shards' atomic counters and is always fresh (kept so existing command lines parse)")
 	flag.Parse()
 	if *objects < 1 || *shards < 1 || *space <= 0 {
 		log.Fatal("objects and shards must be >= 1 and space > 0")
@@ -157,7 +159,6 @@ func main() {
 		Pprof:          *pprofOn,
 		Obs:            pipe,
 		RequestTimeout: *reqTimeout,
-		StatsTTL:       *statsTTL,
 		CoalesceWindow: *coalesce,
 	}
 	if *accessLogOn {

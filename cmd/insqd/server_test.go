@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -100,20 +101,43 @@ func TestServerEndToEnd(t *testing.T) {
 	if len(upd.Results[0].KNN) == 0 || upd.Results[0].KNN[0] != obj.ID {
 		t.Fatalf("inserted object %d not the NN: %v", obj.ID, upd.Results[0].KNN)
 	}
+
+	// Stats are never cached: each scrape shows the writes before it.
+	scrape := func() (api.StatsResponse, string) {
+		t.Helper()
+		r, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		raw, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("stats: status %d: %s", r.StatusCode, raw)
+		}
+		var st api.StatsResponse
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st, string(raw)
+	}
+	st, raw := scrape()
+	for _, field := range []string{`"uptime_seconds"`, `"go_version"`} {
+		if !strings.Contains(raw, field) {
+			t.Errorf("stats missing %s: %s", field, raw)
+		}
+	}
+	if st.Objects != 501 {
+		t.Errorf("stats objects after insert = %d, want 501", st.Objects)
+	}
 	if code := doDelete(t, fmt.Sprintf("%s/v1/objects/%d", ts.URL, obj.ID)); code != http.StatusNoContent {
 		t.Fatalf("delete object: status %d", code)
 	}
 
-	r, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st api.StatsResponse
-	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if st.Sessions != 1 || st.Updates != 2 || st.Epoch != 2 || st.Shards != 4 {
+	st, _ = scrape()
+	if st.Sessions != 1 || st.Updates != 2 || st.Epoch != 2 || st.Shards != 4 || st.Objects != 500 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if st.Latency.Count != st.Updates {

@@ -221,7 +221,8 @@ type Stats struct {
 	Uptime time.Duration
 	// UpdatesPerSec is Updates averaged over Uptime.
 	UpdatesPerSec float64
-	// Counters aggregates the INS cost counters over all live sessions.
+	// Counters aggregates the INS cost counters since engine start, closed
+	// sessions included.
 	Counters metrics.Counters
 	// Latency summarizes per-location-update serving latency.
 	Latency metrics.LatencySummary
@@ -740,17 +741,14 @@ func (e *Engine) mapStoreErr(err error) error {
 	return err
 }
 
-// Stats gathers an aggregated snapshot from all shards plus the index
-// store's version state.
+// Stats gathers an aggregated snapshot from the shards' atomics plus the
+// index store's version state. It sends no mailbox message, so it answers
+// promptly even while every shard worker is busy with a long batch.
 func (e *Engine) Stats() (Stats, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return Stats{}, ErrClosed
-	}
-	reply := make(chan shardStats, len(e.shards))
-	for _, sh := range e.shards {
-		sh.mailbox <- statsMsg{reply: reply}
 	}
 	st := Stats{
 		Shards:    len(e.shards),
@@ -762,9 +760,15 @@ func (e *Engine) Stats() (Stats, error) {
 		Expired:   e.expired.Load(),
 		Degraded:  e.degraded(),
 	}
-	for _, sh := range e.shards {
+	hists := make([]*obs.Histogram, len(e.shards))
+	for i, sh := range e.shards {
+		st.Sessions += int(sh.sessionsN.Load())
+		st.Updates += sh.updates.Load()
 		st.Expired += sh.expired.Load()
+		st.Counters.Add(sh.totals.load())
+		hists[i] = &sh.hist
 	}
+	st.Latency = obs.Summarize(hists...)
 	if e.wal != nil {
 		ws := e.wal.Stats()
 		st.WAL = &ws
@@ -781,15 +785,6 @@ func (e *Engine) Stats() (Stats, error) {
 	}
 	st.IndexNodesCopied, st.IndexNodes = e.store.PlaneShareStats()
 	st.NetPagesCopied, st.NetPages = e.store.NetworkShareStats()
-	var hist metrics.Histogram
-	for range e.shards {
-		s := <-reply
-		st.Sessions += s.sessions
-		st.Updates += s.updates
-		st.Counters.Add(s.counters)
-		hist.Merge(&s.hist)
-	}
-	st.Latency = hist.Summary()
 	if secs := st.Uptime.Seconds(); secs > 0 {
 		st.UpdatesPerSec = float64(st.Updates) / secs
 	}

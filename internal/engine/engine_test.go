@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
+	"repro/internal/stream"
 	"repro/internal/trajectory"
 	"repro/internal/vortree"
 	"repro/internal/workload"
@@ -166,6 +168,86 @@ func TestEngineManyConcurrentSessions(t *testing.T) {
 	}
 	if st.Counters.Recomputations == 0 || st.Counters.Validations == 0 {
 		t.Errorf("implausible counters: %v", st.Counters)
+	}
+}
+
+// TestStatsCountersSurviveClose checks that Stats.Counters count from
+// engine start: a closed session keeps its cost in the totals, and a
+// watched session's eager recompute in the epoch sweep — with no location
+// update behind it — is counted too.
+func TestStatsCountersSurviveClose(t *testing.T) {
+	const n = 10
+	e := newTestEngine(t, 300, 2)
+	update := func(sid SessionID, p geom.Point) {
+		t.Helper()
+		results, err := e.UpdateBatchCtx(context.Background(), []LocationUpdate{{Session: sid, Pos: p}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[0].Err != nil {
+			t.Fatal(results[0].Err)
+		}
+	}
+	stats := func() Stats {
+		t.Helper()
+		st, err := e.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	closed, err := e.CreateSession(4, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		update(closed, geom.Pt(float64(50+i*90), float64(900-i*80)))
+	}
+	if err := e.CloseSession(closed); err != nil {
+		t.Fatal(err)
+	}
+	st := stats()
+	if st.Updates != n || st.Counters.Timestamps != n || st.Counters.Recomputations == 0 {
+		t.Fatalf("after close: updates %d, counters %v; want %d updates and timestamps, recomputations > 0",
+			st.Updates, st.Counters, n)
+	}
+
+	watched, err := e.CreateSession(4, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := e.Stream().Subscribe(8, uint64(watched))
+	defer sub.Close()
+	update(watched, geom.Pt(500, 500))
+	before := stats().Counters.Recomputations
+	// An object at the session's position enters its kNN: the sweep must
+	// recompute it eagerly and publish a data event.
+	if _, err := e.ApplyMutations(context.Background(), []index.Mutation{{Insert: true, P: geom.Pt(500, 500)}}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for gotData := false; !gotData; {
+		select {
+		case <-sub.Wake():
+			for ev, ok := sub.Next(); ok; ev, ok = sub.Next() {
+				gotData = gotData || ev.Cause == stream.CauseData
+			}
+		case <-deadline:
+			t.Fatal("no data event for the watched session")
+		}
+	}
+	// A state read rides the same mailbox, so it returns only after the
+	// sweep that published the event has finished.
+	if _, err := e.State(watched); err != nil {
+		t.Fatal(err)
+	}
+	st = stats()
+	if st.Counters.Recomputations <= before {
+		t.Errorf("sweep recompute not counted: recomputations %d, before the insert %d", st.Counters.Recomputations, before)
+	}
+	if st.Updates != n+1 || st.Counters.Timestamps != n+1 {
+		t.Errorf("updates %d, timestamps %d; want %d each", st.Updates, st.Counters.Timestamps, n+1)
 	}
 }
 

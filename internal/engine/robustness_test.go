@@ -270,3 +270,40 @@ func TestEngineDropsExpiredBatches(t *testing.T) {
 		t.Fatalf("expired entry carried a kNN result: %v", results[0].KNN)
 	}
 }
+
+// TestStatsDuringShardStall checks that Stats never queues behind shard
+// work: with the only worker owning a session stalled 300 ms at the head
+// of a batch, Stats must still answer at once, and it must still see the
+// session. Stats that waited for the workers took the whole stall.
+func TestStatsDuringShardStall(t *testing.T) {
+	defer fault.DisarmAll()
+	e := newTestEngine(t, 100, 2)
+	sid, err := e.CreateSession(3, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fires := fault.ShardApplyDelay.Fires()
+	fault.ShardApplyDelay.Arm(fault.Spec{Delay: 300 * time.Millisecond, Count: 1})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.UpdateBatchCtx(context.Background(), []LocationUpdate{{Session: sid, Pos: geom.Pt(100, 100)}})
+	}()
+	for fault.ShardApplyDelay.Fires() == fires {
+		time.Sleep(time.Millisecond) // until the worker sleeps in the failpoint
+	}
+
+	start := time.Now()
+	st, err := e.Stats()
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed > 50*time.Millisecond {
+		t.Errorf("Stats took %v behind a stalled shard, want < 50ms", elapsed)
+	}
+	if st.Sessions != 1 {
+		t.Errorf("Stats.Sessions = %d during the stall, want 1", st.Sessions)
+	}
+	<-done
+}

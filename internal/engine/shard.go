@@ -33,14 +33,19 @@ type shard struct {
 	obs     *obs.Pipeline // nil when observability is off
 
 	// Worker-owned state; never accessed outside the worker goroutine.
+	// pending holds the INS cost accrued by this shard's sessions since the
+	// last flush into totals.
 	sessions map[SessionID]*session
-	hist     metrics.Histogram
+	pending  metrics.Counters
 
-	// updates and sessionsN mirror worker-owned state as atomics so the
-	// metrics registry can read them at scrape time without a mailbox
-	// round-trip (only the worker writes them).
+	// updates, sessionsN, totals and hist mirror worker-owned state as
+	// atomics so Engine.Stats and the metrics registry read them without a
+	// mailbox round-trip (only the worker writes them). totals counts from
+	// engine start and keeps the cost of closed sessions.
 	updates   atomic.Uint64
 	sessionsN atomic.Int64
+	totals    counterTotals
+	hist      obs.Histogram
 
 	// expired counts batch entries dropped because their request deadline
 	// passed while the batch sat in the mailbox. Written by the worker,
@@ -74,11 +79,13 @@ func (sh *shard) netScratch() *netvor.SearchScratch {
 // session is one live MkNN query pinned to a shard. Exactly one of plane
 // and network is non-nil. seq is the session's push-stream sequence
 // counter, touched only by the shard worker, so per-session event order
-// needs no synchronization.
+// needs no synchronization. folded is the processor's cost counters as of
+// the shard's last fold.
 type session struct {
 	plane   *core.PlaneQuery
 	network *core.NetworkQuery
 	seq     uint64
+	folded  metrics.Counters
 }
 
 // current returns a fresh copy of the session's kNN membership — the
@@ -198,23 +205,10 @@ type stateReply struct {
 	err   error
 }
 
-// statsMsg snapshots the shard's serving state.
-type statsMsg struct {
-	reply chan shardStats
-}
-
-type shardStats struct {
-	sessions int
-	updates  uint64
-	counters metrics.Counters
-	hist     metrics.Histogram
-}
-
 func (createMsg) isMessage() {}
 func (closeMsg) isMessage()  {}
 func (batchMsg) isMessage()  {}
 func (stateMsg) isMessage()  {}
-func (statsMsg) isMessage()  {}
 
 // run is the worker loop; it exits when the mailbox is closed. Between
 // requests it drains epoch notifications and re-pins its sessions, so even
@@ -255,11 +249,10 @@ func (sh *shard) handle(msg message) {
 		m.reply <- nil
 	case batchMsg:
 		sh.runBatch(m)
+		sh.flush()
 		m.reply <- struct{}{}
 	case stateMsg:
 		m.reply <- sh.state(m.sid)
-	case statsMsg:
-		m.reply <- sh.stats()
 	}
 }
 
@@ -286,15 +279,18 @@ func (sh *shard) sweep() {
 		start = time.Now()
 		defer func() { sh.obs.Observe(obs.StageSweep, time.Since(start)) }()
 	}
+	defer sh.flush()
 	active := sh.events.Active()
 	for sid, s := range sh.sessions {
 		if !active || !sh.events.Watched(uint64(sid)) {
 			s.sync()
+			sh.fold(s)
 			continue
 		}
 		prev := s.appendCurrent(sh.prevBuf[:0])
 		sh.prevBuf = prev[:0]
 		knn, recomputed, err := s.refresh()
+		sh.fold(s)
 		if err != nil {
 			// The result is gone (e.g. k now exceeds the object count) and
 			// the error will surface at the session's next Update. Still
@@ -376,11 +372,11 @@ func (sh *shard) runBatch(m batchMsg) {
 		case m.network && s.network != nil:
 			start := time.Now()
 			knn, err = s.network.Update(e.net)
-			sh.observe(time.Since(start))
+			sh.observe(s, time.Since(start))
 		case !m.network && s.plane != nil:
 			start := time.Now()
 			knn, err = s.plane.Update(e.pos)
-			sh.observe(time.Since(start))
+			sh.observe(s, time.Since(start))
 		default:
 			// A no-op: not counted as a processed update so Stats
 			// throughput and latency reflect real query work only.
@@ -469,11 +465,63 @@ func (sh *shard) diffIDs(old, new []int) (added, removed []int) {
 	return added, removed
 }
 
-// observe accounts one processed location update.
-func (sh *shard) observe(d time.Duration) {
-	sh.hist.Record(d)
+// observe accounts one processed location update of session s.
+func (sh *shard) observe(s *session, d time.Duration) {
+	sh.fold(s)
+	sh.hist.Observe(d)
 	sh.updates.Add(1)
 	sh.obs.Observe(obs.StageApply, d)
+}
+
+// counterTotals is the atomic form of metrics.Counters: one shard's INS
+// cost since engine start, written only by its worker.
+type counterTotals struct {
+	timestamps, validations, invalidations, recomputations, objectsShipped,
+	distanceCalcs, dijkstraRuns, edgeRelaxations, nodeVisits atomic.Int64
+}
+
+func (t *counterTotals) add(c metrics.Counters) {
+	t.timestamps.Add(int64(c.Timestamps))
+	t.validations.Add(int64(c.Validations))
+	t.invalidations.Add(int64(c.Invalidations))
+	t.recomputations.Add(int64(c.Recomputations))
+	t.objectsShipped.Add(int64(c.ObjectsShipped))
+	t.distanceCalcs.Add(int64(c.DistanceCalcs))
+	t.dijkstraRuns.Add(int64(c.DijkstraRuns))
+	t.edgeRelaxations.Add(int64(c.EdgeRelaxations))
+	t.nodeVisits.Add(int64(c.NodeVisits))
+}
+
+func (t *counterTotals) load() metrics.Counters {
+	return metrics.Counters{
+		Timestamps:      int(t.timestamps.Load()),
+		Validations:     int(t.validations.Load()),
+		Invalidations:   int(t.invalidations.Load()),
+		Recomputations:  int(t.recomputations.Load()),
+		ObjectsShipped:  int(t.objectsShipped.Load()),
+		DistanceCalcs:   int(t.distanceCalcs.Load()),
+		DijkstraRuns:    int(t.dijkstraRuns.Load()),
+		EdgeRelaxations: int(t.edgeRelaxations.Load()),
+		NodeVisits:      int(t.nodeVisits.Load()),
+	}
+}
+
+// fold adds the cost s accrued since its last fold to the shard's pending
+// counters; every worker path that runs a session's processor folds it.
+func (sh *shard) fold(s *session) {
+	c := s.counters()
+	sh.pending.Add(c.Sub(s.folded))
+	s.folded = c
+}
+
+// flush publishes the pending cost to the shard's atomic totals — once
+// per mailbox message and once per sweep, before any reply goes out, so
+// a caller's next Stats sees its own updates.
+func (sh *shard) flush() {
+	if sh.pending != (metrics.Counters{}) {
+		sh.totals.add(sh.pending)
+		sh.pending = metrics.Counters{}
+	}
 }
 
 func batchKind(network bool) string {
@@ -481,16 +529,4 @@ func batchKind(network bool) string {
 		return "network"
 	}
 	return "plane"
-}
-
-func (sh *shard) stats() shardStats {
-	st := shardStats{
-		sessions: len(sh.sessions),
-		updates:  sh.updates.Load(),
-		hist:     sh.hist,
-	}
-	for _, s := range sh.sessions {
-		st.counters.Add(s.counters())
-	}
-	return st
 }

@@ -16,11 +16,11 @@ const histSubBits = 3
 const histBuckets = 64 << histSubBits
 
 // Histogram is a log-scale latency histogram with bounded relative error,
-// built for the serving engine's per-update latency stats: recording is one
-// array increment (no allocation), merging is element-wise addition, and
-// quantiles are read by walking the buckets. The zero value is ready to
-// use. It is not safe for concurrent use; the engine keeps one per shard
-// and merges copies when reporting.
+// built for per-update latency stats: recording is one array increment
+// (no allocation), merging is element-wise addition, and quantiles are
+// read by walking the buckets. The zero value is ready to use. It is not
+// safe for concurrent use; loadgen keeps one per worker and merges them
+// when reporting (internal/obs has the lock-free form).
 type Histogram struct {
 	counts [histBuckets]uint64
 	count  uint64
@@ -52,7 +52,7 @@ func bucketValue(idx int) uint64 {
 
 // HistogramBuckets is the bucket count of the shared log-scale layout.
 // internal/obs builds its lock-free (atomic-bucket) histograms on the same
-// bucketing, so engine-side and exporter-side quantiles agree exactly.
+// bucketing, so client-side and server-side quantiles agree exactly.
 const HistogramBuckets = histBuckets
 
 // BucketIndex is the exported bucketing function: it maps a nanosecond
@@ -149,6 +149,18 @@ func (h *Histogram) Summary() LatencySummary {
 		P99:   h.Quantile(0.99),
 		Max:   h.Max(),
 	}
+}
+
+// SummaryOf condenses raw observations in the shared bucket layout —
+// per-bucket counts plus their nanosecond sum and maximum — exactly as
+// Summary would for a Histogram holding them; internal/obs reads its
+// atomic histograms through it.
+func SummaryOf(counts *[HistogramBuckets]uint64, sumNS, maxNS uint64) LatencySummary {
+	h := Histogram{counts: *counts, sum: sumNS, max: maxNS}
+	for _, c := range counts {
+		h.count += c
+	}
+	return h.Summary()
 }
 
 // LatencySummary is a Histogram condensed to the usual reporting quantiles.

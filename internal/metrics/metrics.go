@@ -35,6 +35,22 @@ func (c *Counters) Add(other Counters) {
 	c.NodeVisits += other.NodeVisits
 }
 
+// Sub returns c minus other: the cost accrued between two readings of
+// the same monotonic counters.
+func (c Counters) Sub(other Counters) Counters {
+	return Counters{
+		Timestamps:      c.Timestamps - other.Timestamps,
+		Validations:     c.Validations - other.Validations,
+		Invalidations:   c.Invalidations - other.Invalidations,
+		Recomputations:  c.Recomputations - other.Recomputations,
+		ObjectsShipped:  c.ObjectsShipped - other.ObjectsShipped,
+		DistanceCalcs:   c.DistanceCalcs - other.DistanceCalcs,
+		DijkstraRuns:    c.DijkstraRuns - other.DijkstraRuns,
+		EdgeRelaxations: c.EdgeRelaxations - other.EdgeRelaxations,
+		NodeVisits:      c.NodeVisits - other.NodeVisits,
+	}
+}
+
 // Reset zeroes all counters.
 func (c *Counters) Reset() { *c = Counters{} }
 

@@ -11,13 +11,16 @@ import (
 
 // Histogram is the lock-free counterpart of metrics.Histogram: the same
 // log-scale bucket layout (shared via metrics.BucketIndex, so quantiles
-// agree with the engine's per-shard histograms), but every bucket is an
-// atomic — Observe is three uncontended atomic adds and is safe from any
-// goroutine. A nil *Histogram no-ops.
+// agree with client-side metrics.Histograms), but every bucket is an
+// atomic — Observe is three uncontended atomic adds plus a max check and
+// is safe from any goroutine. A nil *Histogram no-ops. Besides the
+// registry's stage histograms, the engine keeps one per shard for
+// Engine.Stats, which reads them through Summarize.
 type Histogram struct {
 	counts [metrics.HistogramBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sumNS  atomic.Uint64
+	maxNS  atomic.Uint64
 }
 
 // Observe records one duration. Negative durations count as zero.
@@ -32,6 +35,12 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[metrics.BucketIndex(ns)].Add(1)
 	h.count.Add(1)
 	h.sumNS.Add(ns)
+	for {
+		m := h.maxNS.Load()
+		if ns <= m || h.maxNS.CompareAndSwap(m, ns) {
+			break
+		}
+	}
 }
 
 // Count returns the number of observations, zero on a nil histogram.
@@ -40,6 +49,26 @@ func (h *Histogram) Count() uint64 {
 		return 0
 	}
 	return h.count.Load()
+}
+
+// Summarize merges the histograms' observations into one latency
+// summary — count, mean, p50/p95/p99 and max, with metrics.Histogram's
+// quantiles. Nil histograms contribute nothing. Reads race benignly with
+// concurrent Observe calls: each field is exact as of its own load.
+func Summarize(hs ...*Histogram) metrics.LatencySummary {
+	var counts [metrics.HistogramBuckets]uint64
+	var sum, maxNS uint64
+	for _, h := range hs {
+		if h == nil {
+			continue
+		}
+		for i := range counts {
+			counts[i] += h.counts[i].Load()
+		}
+		sum += h.sumNS.Load()
+		maxNS = max(maxNS, h.maxNS.Load())
+	}
+	return metrics.SummaryOf(&counts, sum, maxNS)
 }
 
 // write renders the series in exposition format: cumulative non-empty

@@ -7,8 +7,11 @@ import (
 	"log/slog"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -393,5 +396,45 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 	if p.StageCount(StageApply) != 4000 {
 		t.Errorf("count = %d", p.StageCount(StageApply))
+	}
+}
+
+// TestSummarizeMatchesMetricsHistogram pins Summarize to metrics.Histogram:
+// the same observations split over two atomic histograms (plus a nil one)
+// summarize to exactly the count, mean, quantiles and max of one plain
+// histogram holding them all, and concurrent observers keep the max.
+func TestSummarizeMatchesMetricsHistogram(t *testing.T) {
+	if got := Summarize(); got != (metrics.LatencySummary{}) {
+		t.Errorf("empty summary = %v", got)
+	}
+	var a, b Histogram
+	var want metrics.Histogram
+	for i := 1; i <= 2000; i++ {
+		d := time.Duration(i*i) * time.Nanosecond
+		want.Record(d)
+		if i%3 == 0 {
+			a.Observe(d)
+		} else {
+			b.Observe(d)
+		}
+	}
+	if got := Summarize(&a, nil, &b); got != want.Summary() {
+		t.Errorf("Summarize = %v, want %v", got, want.Summary())
+	}
+
+	var c Histogram
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				c.Observe(time.Duration(g*1000 + i))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s := Summarize(&c); s.Count != 4000 || s.Max != 3999 {
+		t.Errorf("concurrent summary: count %d max %v, want 4000 and 3999ns", s.Count, s.Max)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,7 +27,7 @@ import (
 )
 
 // Options configures a Server; the zero value is a plain JSON server
-// with no observability, caching or timeouts.
+// with no observability or timeouts.
 type Options struct {
 	// Pprof mounts net/http/pprof under /debug/pprof/ (CPU, heap, mutex,
 	// block profiles of the live serving process). Off by default —
@@ -47,10 +46,6 @@ type Options struct {
 	// into the void. It does not bound object writes: once entered, a
 	// mutation batch is applied or aborted whole. 0 disables.
 	RequestTimeout time.Duration
-	// StatsTTL caches the merged /v1/stats snapshot: Engine.Stats fans a
-	// message to every shard worker, so a scraper polling at 1s must not
-	// perturb them per request. 0 disables caching.
-	StatsTTL time.Duration
 	// CoalesceWindow is how long the ingest pump waits for further frames
 	// after one arrives before applying the merged engine batch; 0 merges
 	// only frames already queued (no added latency). See ingest.go.
@@ -65,10 +60,6 @@ type Server struct {
 	e     *insq.Engine
 	ready atomic.Bool
 	opts  Options
-
-	statsMu    sync.Mutex
-	statsAt    time.Time
-	statsCache api.StatsResponse
 
 	// ingest is the binary ingest path's counter set, shared by every
 	// stream (HTTP and raw TCP) and surfaced in /v1/stats and /metrics.
@@ -424,48 +415,21 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	s.opts.Obs.Registry().WritePrometheus(w)
 }
 
-// statsResponse builds the wire stats, stamping the serving build and
-// the ingest path's counters.
-func (s *Server) statsResponse(st insq.EngineStats) api.StatsResponse {
+// stats serves /v1/stats: the engine snapshot stamped with the serving
+// build and the ingest path's counters. Engine.Stats reads worker-
+// maintained atomics, so every scrape is fresh and never queues behind
+// shard batches.
+func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
+	st, err := s.e.Stats()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	resp := api.NewStatsResponse(st)
 	resp.Version, resp.GoVersion, resp.Revision = obs.Build()
 	if is := s.ingest.snapshot(); is.FramesTotal > 0 || is.Connections > 0 {
 		resp.Ingest = &is
 	}
-	return resp
-}
-
-func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
-	if s.opts.StatsTTL <= 0 {
-		st, err := s.e.Stats()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, s.statsResponse(st))
-		return
-	}
-	// TTL cache with single flight: Engine.Stats fans a mailbox message to
-	// every shard worker, so concurrent scrapers share one refresh and a
-	// 1s poller costs the shards one stats message per TTL, not per
-	// request.
-	s.statsMu.Lock()
-	if time.Since(s.statsAt) <= s.opts.StatsTTL {
-		resp := s.statsCache
-		s.statsMu.Unlock()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	st, err := s.e.Stats()
-	if err != nil {
-		s.statsMu.Unlock()
-		writeError(w, err)
-		return
-	}
-	s.statsCache = s.statsResponse(st)
-	s.statsAt = time.Now()
-	resp := s.statsCache
-	s.statsMu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -39,6 +39,7 @@ type Report struct {
 	Name     string
 	Steps    int
 	Duration time.Duration
+	// Counters covers this run only, even when the processor is reused.
 	Counters metrics.Counters
 }
 
@@ -78,7 +79,7 @@ func RunPlane(p PlaneProcessor, traj []geom.Point, observe StepFunc) (Report, er
 	}
 	dur := time.Since(start)
 	after := *p.Metrics()
-	return Report{Name: p.Name(), Steps: len(traj), Duration: dur, Counters: diff(before, after)}, nil
+	return Report{Name: p.Name(), Steps: len(traj), Duration: dur, Counters: after.Sub(before)}, nil
 }
 
 // NetStepFunc observes one network simulation step.
@@ -106,21 +107,5 @@ func RunNetwork(p NetworkProcessor, route *roadnet.Route, stepLen float64, obser
 	}
 	dur := time.Since(start)
 	after := *p.Metrics()
-	return Report{Name: p.Name(), Steps: step, Duration: dur, Counters: diff(before, after)}, nil
-}
-
-// diff returns after minus before, so reports are scoped to one run even
-// when a processor is reused.
-func diff(before, after metrics.Counters) metrics.Counters {
-	return metrics.Counters{
-		Timestamps:      after.Timestamps - before.Timestamps,
-		Validations:     after.Validations - before.Validations,
-		Invalidations:   after.Invalidations - before.Invalidations,
-		Recomputations:  after.Recomputations - before.Recomputations,
-		ObjectsShipped:  after.ObjectsShipped - before.ObjectsShipped,
-		DistanceCalcs:   after.DistanceCalcs - before.DistanceCalcs,
-		DijkstraRuns:    after.DijkstraRuns - before.DijkstraRuns,
-		EdgeRelaxations: after.EdgeRelaxations - before.EdgeRelaxations,
-		NodeVisits:      after.NodeVisits - before.NodeVisits,
-	}
+	return Report{Name: p.Name(), Steps: step, Duration: dur, Counters: after.Sub(before)}, nil
 }
