@@ -11,11 +11,14 @@
 package insq_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	insq "repro"
+	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/index"
 	"repro/internal/voronoi"
 )
 
@@ -243,15 +246,28 @@ func BenchmarkE9Theorem2(b *testing.B) {
 }
 
 // BenchmarkE11Updates measures query maintenance with one data-object
-// insert or delete every 20 steps.
+// insert or delete every 20 steps, written through the index store and
+// repaired eagerly by Refresh, as in E11.
 func BenchmarkE11Updates(b *testing.B) {
-	ix, _, err := insq.BuildPlaneIndex(benchBounds, insq.UniformPoints(10000, benchBounds, 11))
+	st, err := index.NewStore(index.Config{Bounds: benchBounds, Objects: insq.UniformPoints(10000, benchBounds, 11)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, err := insq.NewPlaneQuery(ix, 8, 1.6)
+	defer st.Close()
+	q, err := core.NewPlaneQueryPinned(st, 8, 1.6)
 	if err != nil {
 		b.Fatal(err)
+	}
+	defer q.Close()
+	apply := func(m index.Mutation) int {
+		ids, err := st.ApplyCtx(context.Background(), []index.Mutation{m})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := q.Refresh(); err != nil {
+			b.Fatal(err)
+		}
+		return ids[0]
 	}
 	traj := insq.RandomWaypoint(benchBounds, 8192, 8, 111)
 	rng := rand.New(rand.NewSource(112))
@@ -263,16 +279,10 @@ func BenchmarkE11Updates(b *testing.B) {
 		}
 		if i%20 == 10 {
 			if rng.Intn(2) == 0 || len(inserted) == 0 {
-				id, err := q.InsertObject(insq.Pt(rng.Float64()*10000, rng.Float64()*10000))
-				if err != nil {
-					b.Fatal(err)
-				}
-				inserted = append(inserted, id)
+				inserted = append(inserted, apply(index.Mutation{Insert: true, P: insq.Pt(rng.Float64()*10000, rng.Float64()*10000)}))
 			} else {
 				j := rng.Intn(len(inserted))
-				if err := q.RemoveObject(inserted[j]); err != nil {
-					b.Fatal(err)
-				}
+				apply(index.Mutation{ID: inserted[j]})
 				inserted = append(inserted[:j], inserted[j+1:]...)
 			}
 		}

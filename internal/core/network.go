@@ -25,24 +25,18 @@ var ErrDisconnected = errors.New("core: query position cannot reach k objects")
 // on it. While the top-k on the subnetwork equals the current kNN set, the
 // kNN set is valid on the full network.
 //
-// Like PlaneQuery, a network query resolves its diagram through one of two
-// handles: NewNetworkQuery binds it to a raw diagram it may also mutate
-// (the single-threaded experiment mode), while NewNetworkQueryPinned pins
-// it to the immutable snapshots of an index.Store shared with other
-// sessions — every Update then lazily re-pins to the newest snapshot,
-// invalidating the client state only when a skipped site mutation could
-// disturb its guard cells.
+// Like PlaneQuery, NewNetworkQuery reads a diagram the caller owns and
+// NewNetworkQueryPinned pins the immutable snapshots of an index.Store
+// shared with other sessions. Site writes reach a query only through that
+// store: every Update lazily re-pins to the newest snapshot, invalidating
+// the client state only when a skipped site write could disturb its guard
+// cells.
 type NetworkQuery struct {
+	pin
 	d   index.NetworkBackend
 	k   int
 	rho float64
 	m   metrics.Counters
-
-	// Exactly one of raw / store is set. snap is the pinned snapshot
-	// (store mode), released on Close or when re-pinning.
-	raw   *netvor.Diagram
-	store *index.Store
-	snap  *index.Snapshot
 
 	init    bool
 	located bool // Update has been called at least once; last is meaningful
@@ -74,16 +68,10 @@ type NetworkQuery struct {
 	dsBuf    []float64
 }
 
-// NewNetworkQuery creates an INS MkNN query over a network Voronoi diagram
-// the caller owns (and may mutate through InsertSite/RemoveSite).
-// Parameters mirror NewPlaneQuery.
+// NewNetworkQuery creates a read-only INS MkNN query over a network
+// Voronoi diagram the caller owns. Parameters mirror NewPlaneQuery.
 func NewNetworkQuery(d *netvor.Diagram, k int, rho float64) (*NetworkQuery, error) {
-	q, err := newNetworkQuery(d, k, rho)
-	if err != nil {
-		return nil, err
-	}
-	q.raw = d
-	return q, nil
+	return newNetworkQuery(d, k, rho)
 }
 
 // NewNetworkQueryPinned creates an INS MkNN query served from a shared
@@ -95,16 +83,16 @@ func NewNetworkQueryPinned(st *index.Store, k int, rho float64) (*NetworkQuery, 
 	if !st.HasNetwork() {
 		return nil, errors.New("core: no road network configured")
 	}
-	snap := st.Acquire()
-	if snap == nil {
-		return nil, fmt.Errorf("core: %w", index.ErrClosed)
-	}
-	q, err := newNetworkQuery(snap.Network(), k, rho)
+	p, err := pinStore(st)
 	if err != nil {
-		snap.Release()
 		return nil, err
 	}
-	q.store, q.snap = st, snap
+	q, err := newNetworkQuery(p.snap.Network(), k, rho)
+	if err != nil {
+		p.Close()
+		return nil, err
+	}
+	q.pin = p
 	return q, nil
 }
 
@@ -169,50 +157,29 @@ func (q *NetworkQuery) Subnetwork() *netvor.Subnetwork { return q.sub }
 // carries over unchanged. Plane ops in the shared log are skipped: they
 // cannot affect a network session.
 func (q *NetworkQuery) Sync() {
-	if q.store == nil || q.snap == nil {
-		return
-	}
-	cur := q.store.Current()
-	if cur.Epoch() == q.snap.Epoch() {
-		return
-	}
-	// Pin first, then read the op window up to the pinned epoch, so no
-	// mutation can slip between the window and the snapshot.
-	next := q.store.Acquire()
+	next, invalidate := q.repin(q.init, q.affectedBy)
 	if next == nil {
-		return // store closed: keep serving the already-pinned snapshot
+		return
 	}
-	invalidate := false
-	if q.init {
-		ops, ok := q.store.OpsSince(q.snap.Epoch(), next.Epoch())
-		if !ok {
-			invalidate = true // lagged past the log: be conservative
-		} else {
-			for _, op := range ops {
-				if !op.Network {
-					continue
-				}
-				// Affectedness is evaluated against the still-pinned old
-				// snapshot's guard state, where every guard site is live.
-				switch {
-				case op.Conservative:
-					invalidate = true
-				case op.Insert:
-					invalidate = q.AffectedBySiteInsert(op.ID, op.Neighbors)
-				default:
-					invalidate = q.AffectedBySiteRemove(op.ID, op.Neighbors)
-				}
-				if invalidate {
-					break
-				}
-			}
-		}
-	}
-	q.snap.Release()
-	q.snap = next
 	q.d = next.Network()
 	if invalidate {
 		q.Invalidate()
+	}
+}
+
+// affectedBy is the network query's op-log predicate, evaluated against
+// the still-pinned old snapshot's guard state, where every guard site is
+// live.
+func (q *NetworkQuery) affectedBy(op index.Op) bool {
+	switch {
+	case !op.Network:
+		return false
+	case op.Conservative:
+		return true
+	case op.Insert:
+		return q.AffectedBySiteInsert(op.ID, op.Neighbors)
+	default:
+		return q.AffectedBySiteRemove(op.ID, op.Neighbors)
 	}
 }
 
@@ -233,23 +200,6 @@ func (q *NetworkQuery) Refresh() (knn []int, recomputed bool, err error) {
 	}
 	q.init = true
 	return q.knn, true, nil
-}
-
-// Epoch returns the pinned snapshot's epoch (0 for raw-diagram queries).
-func (q *NetworkQuery) Epoch() uint64 {
-	if q.snap == nil {
-		return 0
-	}
-	return q.snap.Epoch()
-}
-
-// Close releases the query's snapshot pin. It is idempotent and a no-op
-// for raw-diagram queries; the query must not be used afterwards.
-func (q *NetworkQuery) Close() {
-	if q.snap != nil {
-		q.snap.Release()
-		q.snap = nil
-	}
 }
 
 // Invalidate discards the client-side state (R, I(R), the subnetwork and
@@ -321,54 +271,6 @@ func (q *NetworkQuery) intersectsGuard(sites []int) bool {
 		}
 	}
 	return false
-}
-
-// InsertSite adds a data object at vertex v during query maintenance. The
-// prefetched state is refreshed only when the new site can affect it (see
-// AffectedBySiteInsert). It is only available on raw-diagram queries;
-// snapshot-pinned queries return ErrReadOnly (mutations of a shared index
-// go through its index.Store).
-func (q *NetworkQuery) InsertSite(v int) error {
-	if q.raw == nil {
-		return ErrReadOnly
-	}
-	if err := q.raw.Insert(v); err != nil {
-		return err
-	}
-	if !q.init {
-		return nil
-	}
-	nb, err := q.raw.Neighbors(v)
-	if err != nil {
-		nb = nil // conservative
-	}
-	if q.AffectedBySiteInsert(v, nb) {
-		return q.recompute(q.last)
-	}
-	return nil
-}
-
-// RemoveSite deletes the data object at vertex v during query
-// maintenance; state is refreshed when the removal can affect it (see
-// AffectedBySiteRemove). Raw-diagram queries only.
-func (q *NetworkQuery) RemoveSite(v int) error {
-	if q.raw == nil {
-		return ErrReadOnly
-	}
-	nb, err := q.raw.Neighbors(v)
-	if err != nil {
-		nb = nil
-	}
-	if err := q.raw.Remove(v); err != nil {
-		return err
-	}
-	if !q.init {
-		return nil
-	}
-	if q.AffectedBySiteRemove(v, nb) {
-		return q.recompute(q.last)
-	}
-	return nil
 }
 
 func (q *NetworkQuery) prefetchSize() int {

@@ -30,7 +30,7 @@ func pinnedNetworkStore(t *testing.T) (*index.Store, *roadnet.Graph, []int) {
 
 // TestNetworkQueryPinnedLifecycle: a pinned network query re-pins across
 // site mutations, recomputes exactly when its guard cells are disturbed,
-// rejects raw-mode mutations, and releases its pin on Close.
+// and releases its pin on Close.
 func TestNetworkQueryPinnedLifecycle(t *testing.T) {
 	st, g, _ := pinnedNetworkStore(t)
 	defer st.Close()
@@ -49,12 +49,6 @@ func TestNetworkQueryPinnedLifecycle(t *testing.T) {
 	}
 	if q.Epoch() != 0 {
 		t.Fatalf("epoch = %d, want 0", q.Epoch())
-	}
-	if err := q.InsertSite(home); err != ErrReadOnly {
-		t.Fatalf("InsertSite on pinned query = %v, want ErrReadOnly", err)
-	}
-	if err := q.RemoveSite(home); err != ErrReadOnly {
-		t.Fatalf("RemoveSite on pinned query = %v, want ErrReadOnly", err)
 	}
 
 	// Inserting a site at the session's own vertex must reach its kNN at
@@ -194,5 +188,82 @@ func TestNetworkQueryLazySkip(t *testing.T) {
 	}
 	if q.Epoch() != st.Epoch() {
 		t.Fatalf("query did not re-pin: epoch %d vs store %d", q.Epoch(), st.Epoch())
+	}
+}
+
+// TestSiteWritesKeepResultCorrect is the network twin of
+// TestInsertKeepsResultCorrect and TestRemoveKeepsResultCorrect:
+// site inserts and removes go through the store while a pinned query walks
+// a route, and every answer — after each write too, repaired lazily by the
+// next Update or eagerly by Refresh — must match Dijkstra brute force.
+func TestSiteWritesKeepResultCorrect(t *testing.T) {
+	const k = 4
+	for _, eager := range []bool{false, true} {
+		name := "lazy"
+		if eager {
+			name = "eager"
+		}
+		t.Run(name, func(t *testing.T) {
+			g, d := buildNetwork(t, 300, 40, 3)
+			st, err := index.NewStore(index.Config{Network: g, NetworkSites: d.Sites()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			q, err := NewNetworkQueryPinned(st, k, 1.6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			route, err := roadnet.RandomWalkRoute(g, 0, 3000, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(9))
+			writes := 0
+			for step, dist := 0, 0.0; dist <= route.Length(); step, dist = step+1, dist+5 {
+				pos := route.PositionAt(dist)
+				got, err := q.Update(pos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkNetKNN(t, st.Current().Network(), pos, got, k)
+				if step%6 != 3 {
+					continue
+				}
+				net := st.Current().Network()
+				var m index.Mutation
+				if rng.Intn(2) == 0 && net.Len() > 2*k {
+					// Remove sometimes a current kNN member, sometimes any site.
+					m = index.Mutation{Network: true, ID: q.Current()[rng.Intn(k)]}
+					if rng.Intn(2) == 0 {
+						m.ID = net.Sites()[rng.Intn(net.Len())]
+					}
+				} else {
+					// Insert sometimes at the query's own edge, sometimes anywhere.
+					v := pos.U
+					for net.IsSite(v) {
+						v = rng.Intn(g.NumVertices())
+					}
+					m = index.Mutation{Network: true, Insert: true, ID: v}
+				}
+				if _, err := applyOne(st, m); err != nil {
+					t.Fatal(err)
+				}
+				writes++
+				if eager {
+					got, _, err = q.Refresh()
+				} else {
+					got, err = q.Update(pos)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkNetKNN(t, st.Current().Network(), pos, got, k)
+			}
+			if writes < 20 {
+				t.Fatalf("only %d site writes along the route", writes)
+			}
+		})
 	}
 }

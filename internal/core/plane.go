@@ -15,32 +15,22 @@ import (
 // objects.
 var ErrEmptyIndex = errors.New("core: no data objects")
 
-// ErrReadOnly is returned by the index-mutation convenience methods
-// (InsertObject/RemoveObject) on a snapshot-pinned query; mutations of a
-// shared index go through its index.Store instead.
-var ErrReadOnly = errors.New("core: snapshot-pinned query cannot mutate the index")
-
 // PlaneQuery is an INS-based moving kNN query in 2D Euclidean space. It is
 // created once per query and fed the query object's location at every
 // timestamp via Update. It is not safe for concurrent use.
 //
-// A query resolves its index through one of two handles: NewPlaneQuery
-// binds it to a raw VoR-tree it may also mutate (the single-threaded
-// experiment mode), while NewPlaneQueryPinned pins it to the immutable
-// snapshots of an index.Store shared with other sessions — every Update
-// then lazily re-pins to the newest snapshot, invalidating the client
-// state only when a skipped mutation could affect it.
+// NewPlaneQuery reads a VoR-tree the caller owns; NewPlaneQueryPinned pins
+// the immutable snapshots of an index.Store shared with other sessions.
+// Data updates reach a query only through that store: every Update lazily
+// re-pins to the newest snapshot, replaying the store's op log to
+// invalidate the client state only when a skipped write touched the
+// guard set (see pin).
 type PlaneQuery struct {
+	pin
 	ix  index.PlaneBackend
 	k   int
 	rho float64
 	m   metrics.Counters
-
-	// Exactly one of raw / store is set. snap is the pinned snapshot
-	// (store mode), released on Close or when re-pinning.
-	raw   *vortree.Index
-	store *index.Store
-	snap  *index.Snapshot
 
 	init          bool
 	located       bool // Update has been called at least once; lastPos is meaningful
@@ -81,14 +71,14 @@ func (r *rankBuf) Swap(i, j int) {
 	r.d[i], r.d[j] = r.d[j], r.d[i]
 }
 
-// NewPlaneQuery creates an INS MkNN query over the given VoR-tree index.
-// k must be at least 1 and the prefetch ratio rho at least 1 (rho == 1
-// disables prefetching; the paper's demo uses rho = 1.6).
+// NewPlaneQuery creates a read-only INS MkNN query over a VoR-tree index
+// the caller owns. k must be at least 1 and the prefetch ratio rho at
+// least 1 (rho == 1 disables prefetching; the paper's demo uses rho = 1.6).
 func NewPlaneQuery(ix *vortree.Index, k int, rho float64) (*PlaneQuery, error) {
 	if err := validateParams(k, rho); err != nil {
 		return nil, err
 	}
-	return &PlaneQuery{ix: ix, raw: ix, k: k, rho: rho}, nil
+	return &PlaneQuery{ix: ix, k: k, rho: rho}, nil
 }
 
 // NewPlaneQueryPinned creates an INS MkNN query served from the immutable
@@ -102,11 +92,11 @@ func NewPlaneQueryPinned(st *index.Store, k int, rho float64) (*PlaneQuery, erro
 	if !st.HasPlane() {
 		return nil, fmt.Errorf("core: %w", index.ErrNoPlane)
 	}
-	snap := st.Acquire()
-	if snap == nil {
-		return nil, fmt.Errorf("core: %w", index.ErrClosed)
+	p, err := pinStore(st)
+	if err != nil {
+		return nil, err
 	}
-	return &PlaneQuery{ix: snap.Plane(), store: st, snap: snap, k: k, rho: rho}, nil
+	return &PlaneQuery{pin: p, ix: p.snap.Plane(), k: k, rho: rho}, nil
 }
 
 func validateParams(k int, rho float64) error {
@@ -164,50 +154,28 @@ func (q *PlaneQuery) AppendINS(dst []int) []int { return append(dst, q.ins...) }
 // the serving engine also calls it on epoch notifications so dormant
 // sessions release old snapshots promptly.
 func (q *PlaneQuery) Sync() {
-	if q.store == nil || q.snap == nil {
-		return
-	}
-	cur := q.store.Current()
-	if cur.Epoch() == q.snap.Epoch() {
-		return
-	}
-	// Pin first, then read the op window up to the pinned epoch, so no
-	// mutation can slip between the window and the snapshot.
-	next := q.store.Acquire()
+	next, invalidate := q.repin(q.init, q.affectedBy)
 	if next == nil {
-		return // store closed: keep serving the already-pinned snapshot
+		return
 	}
-	invalidate := false
-	if q.init {
-		ops, ok := q.store.OpsSince(q.snap.Epoch(), next.Epoch())
-		if !ok {
-			invalidate = true // lagged past the log: be conservative
-		} else {
-			for _, op := range ops {
-				if op.Network {
-					continue // site mutations cannot affect a plane session
-				}
-				// Affectedness is evaluated against the still-pinned old
-				// snapshot (q.ix), where every guard object is live.
-				switch {
-				case op.Conservative:
-					invalidate = true
-				case op.Insert:
-					invalidate = q.AffectedByInsert(op.ID, op.P, op.Neighbors)
-				default:
-					invalidate = q.UsesObject(op.ID)
-				}
-				if invalidate {
-					break
-				}
-			}
-		}
-	}
-	q.snap.Release()
-	q.snap = next
 	q.ix = next.Plane()
 	if invalidate {
 		q.Invalidate()
+	}
+}
+
+// affectedBy is the plane query's op-log predicate. Site ops cannot
+// affect a plane session.
+func (q *PlaneQuery) affectedBy(op index.Op) bool {
+	switch {
+	case op.Network:
+		return false
+	case op.Conservative:
+		return true
+	case op.Insert:
+		return q.AffectedByInsert(op.ID, op.P, op.Neighbors)
+	default:
+		return q.UsesObject(op.ID)
 	}
 }
 
@@ -233,23 +201,6 @@ func (q *PlaneQuery) Refresh() (knn []int, recomputed bool, err error) {
 	}
 	q.init = true
 	return q.knn, true, nil
-}
-
-// Epoch returns the pinned snapshot's epoch (0 for raw-index queries).
-func (q *PlaneQuery) Epoch() uint64 {
-	if q.snap == nil {
-		return 0
-	}
-	return q.snap.Epoch()
-}
-
-// Close releases the query's snapshot pin. It is idempotent and a no-op
-// for raw-index queries; the query must not be used afterwards.
-func (q *PlaneQuery) Close() {
-	if q.snap != nil {
-		q.snap.Release()
-		q.snap = nil
-	}
 }
 
 // InfluenceSet returns the current client-side guard set
@@ -435,11 +386,33 @@ func (q *PlaneQuery) Invalidate() {
 // AffectedByInsert reports whether an object just inserted into the index
 // (id at point p, with Voronoi neighbor list neighbors) can change this
 // query's prefetched state: it lands closer than the farthest prefetched
-// object or neighbors a prefetched object. The caller supplies the
-// neighbor list so that it is looked up once per index mutation rather
-// than once per query sharing the index.
+// object or neighbors a prefetched object (otherwise neither R nor I(R)
+// changes). The caller supplies the neighbor list so that it is looked up
+// once per index mutation rather than once per query sharing the index.
 func (q *PlaneQuery) AffectedByInsert(id int, p geom.Point, neighbors []int) bool {
-	return q.init && q.affectsState(id, p, func() ([]int, error) { return neighbors, nil })
+	if !q.init {
+		return false
+	}
+	var maxR float64
+	for _, rid := range q.r {
+		if rid == id {
+			return true
+		}
+		if d := q.lastPos.Dist2(q.ix.Point(rid)); d > maxR {
+			maxR = d
+		}
+	}
+	if q.lastPos.Dist2(p) < maxR {
+		return true
+	}
+	for _, u := range neighbors {
+		for _, rid := range q.r { // both lists are O(k); no map needed
+			if rid == u {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // UsesObject reports whether id participates in the query's client-side
@@ -457,80 +430,4 @@ func (q *PlaneQuery) UsesObject(id int) bool {
 		}
 	}
 	return false
-}
-
-// InsertObject adds a data object during query maintenance. The prefetched
-// state is refreshed only when the new object can affect it: when it lands
-// closer than the farthest prefetched object or becomes a Voronoi neighbor
-// of a prefetched object (otherwise neither R nor I(R) changes). It is
-// only available on raw-index queries; snapshot-pinned queries return
-// ErrReadOnly.
-func (q *PlaneQuery) InsertObject(p geom.Point) (int, error) {
-	if q.raw == nil {
-		return -1, ErrReadOnly
-	}
-	id, err := q.raw.Insert(p)
-	if err != nil {
-		return -1, err
-	}
-	if !q.init {
-		return id, nil
-	}
-	if q.affectsState(id, p, func() ([]int, error) { return q.ix.Neighbors(id) }) {
-		if err := q.recompute(q.lastPos); err != nil {
-			return id, err
-		}
-	}
-	return id, nil
-}
-
-// affectsState decides whether a just-inserted object can change the
-// prefetched state. The neighbor list is requested lazily — only after the
-// cheaper distance tests fail to prove affectedness — so single-query
-// callers skip the lookup in the common case while the serving engine can
-// supply a list it already fetched once per shard.
-func (q *PlaneQuery) affectsState(id int, p geom.Point, neighbors func() ([]int, error)) bool {
-	var maxR float64
-	for _, rid := range q.r {
-		if rid == id {
-			return true
-		}
-		if d := q.lastPos.Dist2(q.ix.Point(rid)); d > maxR {
-			maxR = d
-		}
-	}
-	if q.lastPos.Dist2(p) < maxR {
-		return true
-	}
-	nb, err := neighbors()
-	if err != nil {
-		return true // be conservative
-	}
-	for _, u := range nb {
-		for _, rid := range q.r { // both lists are O(k); no map needed
-			if rid == u {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// RemoveObject deletes a data object during query maintenance. State is
-// refreshed when the object participated in the prefetched set or its
-// influential neighbors; otherwise the removal cannot change R or I(R).
-// It is only available on raw-index queries; snapshot-pinned queries
-// return ErrReadOnly.
-func (q *PlaneQuery) RemoveObject(id int) error {
-	if q.raw == nil {
-		return ErrReadOnly
-	}
-	inState := q.UsesObject(id)
-	if err := q.raw.Remove(id); err != nil {
-		return err
-	}
-	if q.init && inState {
-		return q.recompute(q.lastPos)
-	}
-	return nil
 }

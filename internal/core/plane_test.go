@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/vortree"
 )
 
@@ -216,21 +218,65 @@ func TestInfluenceSetDisjointFromKNN(t *testing.T) {
 	}
 }
 
-func TestInsertObjectKeepsResultCorrect(t *testing.T) {
-	ix := buildIndex(t, 300, 10)
-	q, err := NewPlaneQuery(ix, 5, 1.6)
+// pinnedPlane builds a store over n random points and a query pinned to
+// it; both are closed when the test ends.
+func pinnedPlane(t *testing.T, n int, seed int64, k int) (*index.Store, *PlaneQuery) {
+	t.Helper()
+	st, err := index.NewStore(index.Config{Bounds: testBounds, Objects: randomPoints(n, seed)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	traj := walkTrajectory(300, 2, 12)
-	for i, p := range traj {
-		got, err := q.Update(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkKNNAgainstBrute(t, ix, p, got, 5)
-		if i%10 == 5 {
+	q, err := NewPlaneQueryPinned(st, k, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		q.Close()
+		st.Close()
+	})
+	return st, q
+}
+
+// livePlane returns the store's current plane index: the live objects the
+// brute-force check ranks.
+func livePlane(st *index.Store) *vortree.Index { return st.Current().Plane().(*vortree.Index) }
+
+// repairModes runs body once with lazy repair (the next Update at the same
+// position picks up a store write) and once with eager repair (Refresh).
+func repairModes(t *testing.T, body func(t *testing.T, repair func(q *PlaneQuery, p geom.Point) []int)) {
+	t.Run("lazy", func(t *testing.T) {
+		body(t, func(q *PlaneQuery, p geom.Point) []int {
+			got, err := q.Update(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		})
+	})
+	t.Run("eager", func(t *testing.T) {
+		body(t, func(q *PlaneQuery, _ geom.Point) []int {
+			got, _, err := q.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		})
+	})
+}
+
+func TestInsertKeepsResultCorrect(t *testing.T) {
+	repairModes(t, func(t *testing.T, repair func(*PlaneQuery, geom.Point) []int) {
+		st, q := pinnedPlane(t, 300, 10, 5)
+		rng := rand.New(rand.NewSource(11))
+		for i, p := range walkTrajectory(300, 2, 12) {
+			got, err := q.Update(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkKNNAgainstBrute(t, livePlane(st), p, got, 5)
+			if i%10 != 5 {
+				continue
+			}
 			// Insert sometimes right next to the query, sometimes far away.
 			var np geom.Point
 			if rng.Intn(2) == 0 {
@@ -240,53 +286,168 @@ func TestInsertObjectKeepsResultCorrect(t *testing.T) {
 			} else {
 				np = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 			}
-			if _, err := q.InsertObject(np); err != nil {
+			if _, err := applyOne(st, index.Mutation{Insert: true, P: np}); err != nil {
 				t.Fatal(err)
 			}
-			// Result must already reflect the insert at the same position.
+			// The result must already reflect the insert at the same position.
+			checkKNNAgainstBrute(t, livePlane(st), p, repair(q, p), 5)
+		}
+	})
+}
+
+func TestRemoveKeepsResultCorrect(t *testing.T) {
+	repairModes(t, func(t *testing.T, repair func(*PlaneQuery, geom.Point) []int) {
+		st, q := pinnedPlane(t, 400, 13, 5)
+		rng := rand.New(rand.NewSource(14))
+		for i, p := range walkTrajectory(300, 2, 15) {
 			got, err := q.Update(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkKNNAgainstBrute(t, ix, p, got, 5)
-		}
-	}
-}
-
-func TestRemoveObjectKeepsResultCorrect(t *testing.T) {
-	ix := buildIndex(t, 400, 13)
-	q, err := NewPlaneQuery(ix, 5, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(14))
-	traj := walkTrajectory(300, 2, 15)
-	for i, p := range traj {
-		got, err := q.Update(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkKNNAgainstBrute(t, ix, p, got, 5)
-		if i%10 == 5 && ix.Len() > 50 {
+			checkKNNAgainstBrute(t, livePlane(st), p, got, 5)
+			if i%10 != 5 || livePlane(st).Len() <= 50 {
+				continue
+			}
 			// Remove sometimes a current kNN member (worst case), sometimes
 			// a random object.
 			var victim int
 			if rng.Intn(2) == 0 {
 				victim = q.Current()[rng.Intn(len(q.Current()))]
 			} else {
-				ids := ix.Diagram().IDs()
+				ids := livePlane(st).Diagram().IDs()
 				victim = ids[rng.Intn(len(ids))]
 			}
-			if err := q.RemoveObject(victim); err != nil {
+			if _, err := applyOne(st, index.Mutation{ID: victim}); err != nil {
 				t.Fatal(err)
 			}
+			checkKNNAgainstBrute(t, livePlane(st), p, repair(q, p), 5)
+		}
+	})
+}
+
+// TestInsertBesideGuardSetKeepsResultCorrect covers the neighbor half of
+// AffectedByInsert: an object inserted just beyond the prefetched set's
+// radius, but Voronoi-adjacent to a prefetched object, changes I(R) even
+// though it is no nearer than R. The query then walks onto it.
+func TestInsertBesideGuardSetKeepsResultCorrect(t *testing.T) {
+	repairModes(t, func(t *testing.T, repair func(*PlaneQuery, geom.Point) []int) {
+		const k = 5
+		st, q := pinnedPlane(t, 300, 30, k)
+		at := geom.Pt(500, 500)
+		if _, err := q.Update(at); err != nil {
+			t.Fatal(err)
+		}
+		adjacent := false
+		for i := 0; i < 8 && !adjacent; i++ {
+			var maxR float64
+			for _, id := range q.Prefetched() {
+				maxR = math.Max(maxR, at.Dist(livePlane(st).Point(id)))
+			}
+			dir := geom.Pt(math.Cos(float64(i)*math.Pi/4), math.Sin(float64(i)*math.Pi/4))
+			np := at.Add(dir.Scale(maxR + 1))
+			r := q.Prefetched()
+			id, err := applyOne(st, index.Mutation{Insert: true, P: np})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nb, err := livePlane(st).Neighbors(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range nb {
+				adjacent = adjacent || slices.Contains(r, u)
+			}
+			checkKNNAgainstBrute(t, livePlane(st), at, repair(q, at), k)
+			if !adjacent {
+				continue
+			}
+			// Walk onto the new object; it joins the kNN on the way.
+			for f := 0.0; f <= 1; f += 0.02 {
+				p := at.Add(np.Sub(at).Scale(f))
+				got, err := q.Update(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkKNNAgainstBrute(t, livePlane(st), p, got, k)
+			}
+		}
+		if !adjacent {
+			t.Fatal("no insert landed beside the prefetched set")
+		}
+	})
+}
+
+// TestDegenerateWritesKeepResultCorrect pushes degenerate geometry through
+// the store into a pinned query: an exact duplicate of a live object, a
+// collinear row through the query, and objects on the bounds of the data
+// space, each checked against brute force.
+func TestDegenerateWritesKeepResultCorrect(t *testing.T) {
+	repairModes(t, func(t *testing.T, repair func(*PlaneQuery, geom.Point) []int) {
+		const k = 4
+		st, q := pinnedPlane(t, 200, 20, k)
+		update := func(p geom.Point) []int {
 			got, err := q.Update(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkKNNAgainstBrute(t, ix, p, got, 5)
+			checkKNNAgainstBrute(t, livePlane(st), p, got, k)
+			return got
 		}
-	}
+		write := func(m index.Mutation, at geom.Point) int {
+			id, err := applyOne(st, m)
+			if err != nil {
+				t.Fatalf("%+v: %v", m, err)
+			}
+			checkKNNAgainstBrute(t, livePlane(st), at, repair(q, at), k)
+			return id
+		}
+
+		// An exact duplicate of the nearest object collapses onto it: the
+		// store answers with the live id and the answer stays the same.
+		at := geom.Pt(500, 500)
+		before := append([]int(nil), update(at)...)
+		nearest := before[0]
+		id, err := applyOne(st, index.Mutation{Insert: true, P: livePlane(st).Point(nearest)})
+		if err != nil || id != nearest {
+			t.Fatalf("duplicate of object %d: id %d, err %v; want the live id", nearest, id, err)
+		}
+		if got := repair(q, at); !sameIDs(got, before) {
+			t.Fatalf("duplicate insert changed the answer: %v -> %v", before, got)
+		}
+
+		// A collinear row through the query position, then a walk along it.
+		for i := 1; i <= 6; i++ {
+			write(index.Mutation{Insert: true, P: geom.Pt(500+3*float64(i), 500)}, at)
+			write(index.Mutation{Insert: true, P: geom.Pt(500-3*float64(i), 500)}, at)
+		}
+		for x := 470.0; x <= 530; x += 1.5 {
+			update(geom.Pt(x, 500))
+		}
+
+		// Objects inserted on the corners and edges of the bounds, then
+		// removed again, with the query standing on each.
+		onBounds := []geom.Point{
+			geom.Pt(0, 0), geom.Pt(1000, 0), geom.Pt(0, 1000), geom.Pt(1000, 1000),
+			geom.Pt(500, 0), geom.Pt(0, 500), geom.Pt(1000, 500), geom.Pt(500, 1000),
+		}
+		ids := make([]int, len(onBounds))
+		for i, b := range onBounds {
+			update(b)
+			ids[i] = write(index.Mutation{Insert: true, P: b}, b)
+		}
+		for i, b := range onBounds {
+			update(b)
+			write(index.Mutation{ID: ids[i]}, b)
+		}
+	})
+}
+
+// sameIDs reports whether two id lists hold the same set.
+func sameIDs(a, b []int) bool {
+	as, bs := append([]int(nil), a...), append([]int(nil), b...)
+	sort.Ints(as)
+	sort.Ints(bs)
+	return equalSorted(as, bs)
 }
 
 func TestValidationIsSound(t *testing.T) {

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
@@ -284,16 +286,18 @@ func pickSites(nVerts, nSites int, seed int64) []int {
 	return out
 }
 
-// E11 sweeps the data-update rate during a moving query.
+// E11 sweeps the data-update rate during a moving query. Object writes
+// go through an index.Store, the serving system's write path, and reach
+// the query through its op-log replay.
 func E11(cfg Config) ([]Row, error) {
 	steps := cfg.steps(3000)
 	var rows []Row
 	for _, updatesPer100 := range []int{0, 1, 5, 10} {
-		ix, err := planeIndex(10000, cfg.seed(11))
+		st, err := index.NewStore(index.Config{Fanout: 16, Bounds: Bounds, Objects: workload.Uniform(10000, Bounds, cfg.seed(11))})
 		if err != nil {
 			return nil, err
 		}
-		q, err := core.NewPlaneQuery(ix, 8, 1.6)
+		q, err := core.NewPlaneQueryPinned(st, 8, 1.6)
 		if err != nil {
 			return nil, err
 		}
@@ -305,7 +309,9 @@ func E11(cfg Config) ([]Row, error) {
 			state = state*6364136223846793005 + 1442695040888963407
 			return int((state >> 33) % uint64(n))
 		}
-		rep, err := runPlaneWithUpdates(q, traj, updatesPer100, rnd)
+		rep, err := runPlaneWithUpdates(st, q, traj, updatesPer100, rnd)
+		q.Close()
+		st.Close()
 		if err != nil {
 			return nil, fmt.Errorf("E11 u=%d: %w", updatesPer100, err)
 		}
@@ -315,12 +321,22 @@ func E11(cfg Config) ([]Row, error) {
 }
 
 // runPlaneWithUpdates drives the query manually so object inserts/removes
-// can be interleaved with location updates.
-func runPlaneWithUpdates(q *core.PlaneQuery, traj []geom.Point, updatesPer100 int,
+// can be interleaved with location updates. Each write is one store epoch,
+// repaired eagerly by Refresh: the query recomputes at its last position
+// exactly when the write touched its guard set.
+func runPlaneWithUpdates(st *index.Store, q *core.PlaneQuery, traj []geom.Point, updatesPer100 int,
 	rnd func(int) int) (sim.Report, error) {
 	interval := 0
 	if updatesPer100 > 0 {
 		interval = 100 / updatesPer100
+	}
+	apply := func(m index.Mutation) (int, error) {
+		ids, err := st.ApplyCtx(context.Background(), []index.Mutation{m})
+		if err != nil {
+			return -1, err
+		}
+		_, _, err = q.Refresh()
+		return ids[0], err
 	}
 	var inserted []int
 	start := time.Now()
@@ -341,14 +357,14 @@ func runPlaneWithUpdates(q *core.PlaneQuery, traj []geom.Point, updatesPer100 in
 						clampTo(pos.X+float64(rnd(400))-200, Bounds.Min.X, Bounds.Max.X),
 						clampTo(pos.Y+float64(rnd(400))-200, Bounds.Min.Y, Bounds.Max.Y))
 				}
-				id, err := q.InsertObject(p)
+				id, err := apply(index.Mutation{Insert: true, P: p})
 				if err != nil {
 					return sim.Report{}, err
 				}
 				inserted = append(inserted, id)
 			} else {
 				i := rnd(len(inserted))
-				if err := q.RemoveObject(inserted[i]); err != nil {
+				if _, err := apply(index.Mutation{ID: inserted[i]}); err != nil {
 					return sim.Report{}, err
 				}
 				inserted = append(inserted[:i], inserted[i+1:]...)

@@ -120,6 +120,15 @@ func TestE11(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows, want 4", len(rows))
 	}
+	// The counters are deterministic per seed; pinning them keeps E11
+	// measuring the same thing (upd/100 = 0, 1, 5, 10).
+	wantRecomps := []int{16, 16, 18, 19}
+	wantShipped := []int{476, 476, 538, 556}
+	for i, r := range rows {
+		if r.Recomps != wantRecomps[i] || r.Shipped != wantShipped[i] {
+			t.Errorf("%s: recomp=%d shipped=%d, want recomp=%d shipped=%d", r.Param, r.Recomps, r.Shipped, wantRecomps[i], wantShipped[i])
+		}
+	}
 }
 
 func TestAblations(t *testing.T) {

@@ -172,7 +172,7 @@ type Store struct {
 	mu       sync.Mutex // serializes mutation, publish, and notification order
 	closed   bool
 	logDepth int
-	log      []Op       // contiguous ops, oldest first
+	log      []Op       // contiguous ops, oldest first; OpsSince serves the newest logDepth
 	dur      Durability // optional write-ahead hook; see SetDurability
 
 	live atomic.Int64 // snapshots whose pin count is > 0
@@ -442,9 +442,13 @@ func (st *Store) ApplyCtx(ctx context.Context, muts []Mutation) ([]int, error) {
 		nextNet = cur.net
 	}
 
+	// Appends write only past len, so slices OpsSince handed out stay
+	// valid. The log is trimmed to its newest logDepth ops only once it
+	// holds twice that, into a fresh array, which amortizes the copy to
+	// O(1) per op; OpsSince enforces the logDepth window in between.
 	st.log = append(st.log, ops...)
-	if over := len(st.log) - st.logDepth; over > 0 {
-		st.log = append([]Op(nil), st.log[over:]...)
+	if len(st.log) >= 2*st.logDepth {
+		st.log = append(make([]Op, 0, 2*st.logDepth), st.log[len(st.log)-st.logDepth:]...)
 	}
 	st.publish(&Snapshot{store: st, epoch: epoch, plane: nextPlane, net: nextNet})
 	st.publishes.Add(1)
@@ -595,9 +599,10 @@ func (st *Store) NetworkShareStats() (copied, total int) {
 }
 
 // OpsSince returns the ops with epochs in (from, to] and reports whether
-// the log still covers that range; ok=false means the caller lagged past
-// the log capacity and must invalidate conservatively. The returned slice
-// aliases the log; callers must not modify it.
+// the log still covers that range: the newest LogDepth ops. ok=false means
+// the caller lagged past the log capacity and must invalidate
+// conservatively. The returned slice aliases the log; callers must not
+// modify it.
 func (st *Store) OpsSince(from, to uint64) ([]Op, bool) {
 	if to <= from {
 		return nil, true
@@ -608,7 +613,10 @@ func (st *Store) OpsSince(from, to uint64) ([]Op, bool) {
 		return nil, false
 	}
 	lo := int(from - st.log[0].Epoch + 1) // index of epoch from+1
-	hi := int(to - st.log[0].Epoch + 1)   // one past epoch to
+	if lo < len(st.log)-st.logDepth {
+		return nil, false // older than the newest logDepth ops
+	}
+	hi := int(to - st.log[0].Epoch + 1) // one past epoch to
 	if hi > len(st.log) {
 		// to is ahead of the applied log — cannot happen for epochs read
 		// from published snapshots, but never over-promise.

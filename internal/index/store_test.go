@@ -314,3 +314,55 @@ func applyOne(st *Store, m Mutation) (int, error) {
 	}
 	return ids[0], nil
 }
+
+// TestStoreOpsSinceWindow drives single-op applies well past the point
+// where the log is trimmed and checks, after every apply, that OpsSince
+// serves exactly the newest LogDepth epochs, and that slices it returned
+// before a trim still read the ops they were handed.
+func TestStoreOpsSinceWindow(t *testing.T) {
+	const depth = 4
+	st := newPlaneStore(t, 10, depth)
+	type held struct {
+		from uint64
+		ops  []Op
+		want []Op // copy taken when the slice was returned
+	}
+	var all []Op // every applied op, the model log
+	var kept []held
+	for i := 0; i < 3*depth; i++ {
+		id, err := applyOne(st, Mutation{Insert: true, P: geom.Pt(float64(i)*31+5, float64(i)*17+3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		newest := st.Epoch()
+		all = append(all, Op{Epoch: newest, Insert: true, ID: id})
+		for from := uint64(0); from <= newest; from++ {
+			ops, ok := st.OpsSince(from, newest)
+			inWindow := from == newest || from+depth >= newest
+			if ok != inWindow {
+				t.Fatalf("after epoch %d: OpsSince(%d, %d) ok=%v, want %v", newest, from, newest, ok, inWindow)
+			}
+			if !ok {
+				continue
+			}
+			if want := all[from:newest]; len(ops) != len(want) {
+				t.Fatalf("after epoch %d: OpsSince(%d) returned %d ops, want %d", newest, from, len(ops), len(want))
+			}
+			for j, op := range ops {
+				if m := all[int(from)+j]; op.Epoch != m.Epoch || op.ID != m.ID || !op.Insert {
+					t.Fatalf("after epoch %d: OpsSince(%d)[%d] = %+v, want epoch %d id %d", newest, from, j, op, m.Epoch, m.ID)
+				}
+			}
+		}
+		if ops, ok := st.OpsSince(newest-1, newest); ok {
+			kept = append(kept, held{from: newest - 1, ops: ops, want: append([]Op(nil), ops...)})
+		}
+		for _, h := range kept {
+			for j := range h.ops {
+				if h.ops[j].Epoch != h.want[j].Epoch || h.ops[j].ID != h.want[j].ID {
+					t.Fatalf("after epoch %d: slice returned for epoch %d now reads %+v, want %+v", newest, h.from+1, h.ops[j], h.want[j])
+				}
+			}
+		}
+	}
+}
